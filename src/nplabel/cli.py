@@ -143,6 +143,11 @@ def _cmd_scan_trees(ns) -> int:
     if not report.conjecture_holds:
         print("COUNTEREXAMPLE FOUND", file=sys.stderr)
         return EXIT_ERROR
+    unsettled = sum(len(row.inconclusive) for row in report.rows)
+    if unsettled:
+        print("INCONCLUSIVE: %d trees unsettled within the node budget" % unsettled,
+              file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 

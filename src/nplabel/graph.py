@@ -62,13 +62,6 @@ class Graph:
         return "Graph(n=%d, m=%d)" % (self.n, len(self.edges))
 
     # pickling support for the parallel conjecture scanner
-    def __getstate__(self):
-        return (self.n, sorted(self.edges))
-
-    def __setstate__(self, state):
-        n, edges = state
-        self.__init__(n, edges)
-
     def __reduce__(self):
         return (Graph, (self.n, sorted(self.edges)))
 

@@ -10,18 +10,18 @@ is the self-validation the scan relies on.
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from .errors import UsageError
-from .graph import Graph, is_tree
+from .graph import Graph, is_tree, verify
 from .search import (
     EXHAUSTED,
     FOUND,
     INCONCLUSIVE,
     SearchConfig,
+    SearchOutcome,
     find_labeling,
 )
 
@@ -33,7 +33,7 @@ def ahu_canonical(t: Graph) -> str:
     (both centers tried for bicentral trees, lexicographic minimum taken)."""
     if not is_tree(t):
         raise UsageError("ahu_canonical requires a tree")
-    return min(_rooted_encoding(t, c) for c in tree_centers(t))
+    return _canonical_rooting(t)[0]
 
 
 def tree_centers(t: Graph) -> List[int]:
@@ -56,8 +56,14 @@ def tree_centers(t: Graph) -> List[int]:
     return sorted(layer)
 
 
-def _rooted_encoding(t: Graph, root: int) -> str:
-    """AHU parenthesis string of the tree rooted at ``root``."""
+def _canonical_rooting(t: Graph):
+    """``_rooted_encoding`` at the center whose AHU string is least."""
+    return min(_rooted_encoding(t, c) for c in tree_centers(t))
+
+
+def _rooted_encoding(t: Graph, root: int):
+    """AHU parenthesis string of the tree rooted at ``root``, followed by the
+    root, every vertex's subtree string and the parent array."""
     # iterative post-order to stay clear of the recursion limit
     parent = [0] * (t.n + 1)
     order = [root]
@@ -71,7 +77,7 @@ def _rooted_encoding(t: Graph, root: int) -> str:
     for v in reversed(order):
         kids = sorted(code[u] for u in t.adj[v] if parent[u] == v)
         code[v] = "(" + "".join(kids) + ")"
-    return code[root]
+    return code[root], root, code, parent
 
 
 # -- primary generator: canonical rooted level sequences ---------------------
@@ -223,6 +229,68 @@ def crosscheck_tree_counts(max_n: int) -> List[Tuple[int, int, int]]:
 # -- conjecture scan ---------------------------------------------------------
 
 
+class PendantCore(NamedTuple):
+    """A tree's irreducible core under the pendant lemma, canonically
+    numbered: core vertex i+1 is tree vertex ``vertices[i]``."""
+
+    tree: Graph
+    code: str  # AHU code of the core; isomorphic cores share it
+    vertices: Tuple[int, ...]
+    stripped: Tuple[int, ...]  # leaves removed, in removal order
+
+    @property
+    def graph(self) -> Graph:
+        """The core in its canonical numbering; built on demand, since a
+        scan needs it only for cores it has not yet searched."""
+        return _induced(self.tree, self.vertices)
+
+
+def _induced(t: Graph, vertices) -> Graph:
+    """The subgraph of t on ``vertices``, vertex i+1 being ``vertices[i]``."""
+    rank = {v: i for i, v in enumerate(vertices, 1)}
+    return Graph(len(rank), [(rank[u], rank[v]) for u, v in t.edges
+                             if u in rank and v in rank])
+
+
+def pendant_core(t: Graph) -> PendantCore:
+    """Strip leaves whose neighbour has degree >= 3 until none is left, and
+    number what remains by BFS from its canonical AHU root, children in
+    order of their AHU code, so that isomorphic cores are the identical
+    Graph.
+
+    Stripping leaves the neighbour with degree >= 2, so it never makes a new
+    leaf and one pass over the leaves suffices.  By the pendant lemma
+    (``labelers.extend_pendant``) any labeling of the core extends to the
+    tree: the stripped leaves take the labels above the core's, last
+    removed first."""
+    n = t.n
+    degree = [len(a) for a in t.adj]
+    stripped = []
+    for w in range(1, n + 1):
+        if degree[w] == 1 and degree[t.adj[w][0]] >= 3:
+            degree[t.adj[w][0]] -= 1
+            stripped.append(w)
+    gone = set(stripped)
+    kept = [v for v in range(1, n + 1) if v not in gone]
+    core = _induced(t, kept) if stripped else t
+    code, root, codes, parent = _canonical_rooting(core)
+    order = [root]
+    for v in order:
+        order.extend(sorted((u for u in core.adj[v] if parent[u] == v),
+                            key=codes.__getitem__))
+    return PendantCore(t, code, tuple(kept[v - 1] for v in order), tuple(stripped))
+
+
+def _tree_labeling(core: PendantCore, core_labels) -> List[int]:
+    """Extend a labeling of the core to the whole tree."""
+    labels = [0] * (len(core.vertices) + len(core.stripped))
+    for v, label in zip(core.vertices, core_labels):
+        labels[v - 1] = label
+    for label, w in enumerate(reversed(core.stripped), len(core.vertices) + 1):
+        labels[w - 1] = label
+    return labels
+
+
 @dataclass(frozen=True)
 class SizeResult:
     n: int
@@ -232,6 +300,8 @@ class SizeResult:
     inconclusive: Tuple[str, ...]
     seconds: float
     failure_graphs: Tuple[Graph, ...] = ()
+    nodes: int = 0  # search nodes spent at this size, core and full-tree searches
+    core_searches: int = 0  # distinct cores first met, and searched, at this size
 
 
 @dataclass(frozen=True)
@@ -244,58 +314,92 @@ class ConjectureReport:
         return all(not r.failures for r in self.rows)
 
     def table(self) -> str:
-        lines = ["%4s %8s %8s %8s %12s %9s" % ("n", "trees", "solved", "failed", "inconclusive", "seconds")]
+        lines = ["%4s %8s %8s %8s %12s %6s %10s %9s" % (
+            "n", "trees", "solved", "failed", "inconclusive", "cores", "nodes", "seconds")]
         for r in self.rows:
             lines.append(
-                "%4d %8d %8d %8d %12d %9.2f"
-                % (r.n, r.tree_count, r.solved_count, len(r.failures), len(r.inconclusive), r.seconds)
+                "%4d %8d %8d %8d %12d %6d %10d %9.2f"
+                % (r.n, r.tree_count, r.solved_count, len(r.failures),
+                   len(r.inconclusive), r.core_searches, r.nodes, r.seconds)
             )
         return "\n".join(lines) + "\n"
-
-
-def _scan_one(args):
-    g, cfg = args
-    return g, find_labeling(g, cfg).status
 
 
 def scan_conjecture(
     max_n: int, cfg: SearchConfig = SearchConfig(), jobs: int = 1
 ) -> ConjectureReport:
-    """Run the exact searcher over every non-isomorphic tree of each size up
-    to max_n; any Exhausted tree would falsify the conjecture and is
-    surfaced with its canonical encoding and graph."""
+    """Settle every non-isomorphic tree of each size up to max_n; any
+    Exhausted tree would falsify the conjecture and is surfaced with its
+    canonical encoding and graph.
+
+    Each distinct pendant core (``pendant_core``) is searched once per call,
+    and its labeling is extended to every tree that has it and verified.  A
+    tree whose core search ends without a labeling gets the full search of
+    the tree itself, so Exhausted always comes from a full-tree search.
+    With ``jobs > 1`` the cores first met at each size are searched in a
+    process pool."""
     if not (1 <= max_n <= MAX_ENUM_N):
         raise UsageError("max_n must be within 1..%d" % MAX_ENUM_N)
+    if jobs > 1:
+        import multiprocessing
+
+        with multiprocessing.get_context("spawn").Pool(jobs) as pool:
+            return _scan(max_n, cfg, pool)
+    return _scan(max_n, cfg, None)
+
+
+def _scan(max_n: int, cfg: SearchConfig, pool) -> ConjectureReport:
+    # core code -> outcome of its search.  It spans sizes, since a core met
+    # at one size recurs among larger trees; it is local to one call.
+    memo: Dict[str, SearchOutcome] = {}
     rows = []
     for n in range(1, max_n + 1):
         start = time.perf_counter()
         trees = list(enumerate_free_trees(n))
-        failures, inconclusive, fail_graphs = [], [], []
-        solved = 0
-        if jobs > 1:
-            import multiprocessing
-
-            with multiprocessing.Pool(jobs) as pool:
-                results = pool.map(_scan_one, [(g, cfg) for g in trees])
-        else:
-            results = [_scan_one((g, cfg)) for g in trees]
-        for g, status in results:
-            if status == FOUND:
-                solved += 1
-            elif status == EXHAUSTED:
-                failures.append(ahu_canonical(g))
-                fail_graphs.append(g)
+        # serially the cores stream, so only the trees are held; a pool
+        # needs the size's unsearched cores up front
+        cores = map(pendant_core, trees)
+        nodes = core_searches = solved = 0
+        if pool is not None:
+            cores = list(cores)
+            new = {c.code: c for c in cores if c.code not in memo}
+            outcomes = pool.starmap(find_labeling, [(c.graph, cfg) for c in new.values()])
+            memo.update(zip(new, outcomes))
+            nodes += sum(o.nodes_explored for o in outcomes)
+            core_searches += len(new)
+        failed, inconclusive = [], []
+        for c in cores:
+            outcome = memo.get(c.code)
+            if outcome is None:
+                outcome = memo[c.code] = find_labeling(c.graph, cfg)
+                nodes += outcome.nodes_explored
+                core_searches += 1
+            if outcome.status == FOUND:
+                labels = _tree_labeling(c, outcome.labeling)
             else:
-                inconclusive.append(ahu_canonical(g))
+                outcome = find_labeling(c.tree, cfg)
+                nodes += outcome.nodes_explored
+                labels = outcome.labeling
+            if outcome.status == FOUND:
+                if not verify(c.tree, labels).ok:
+                    raise RuntimeError("scan built an invalid labeling %s for tree %s"
+                                       % (labels, ahu_canonical(c.tree)))
+                solved += 1
+            elif outcome.status == EXHAUSTED:
+                failed.append(c.tree)
+            else:
+                inconclusive.append(ahu_canonical(c.tree))
         rows.append(
             SizeResult(
                 n=n,
                 tree_count=len(trees),
                 solved_count=solved,
-                failures=tuple(failures),
+                failures=tuple(ahu_canonical(t) for t in failed),
                 inconclusive=tuple(inconclusive),
                 seconds=time.perf_counter() - start,
-                failure_graphs=tuple(fail_graphs),
+                failure_graphs=tuple(failed),
+                nodes=nodes,
+                core_searches=core_searches,
             )
         )
     return ConjectureReport(max_n, tuple(rows))

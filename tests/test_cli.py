@@ -8,6 +8,8 @@ from nplabel.cli import (
 from nplabel.fileio import parse_edge_list, parse_labels, write_edge_list, write_labels
 from nplabel.families import cycle_graph, gear_graph
 from nplabel.graph import verify
+from nplabel import treescan
+from nplabel.search import EXHAUSTED, INCONCLUSIVE, SearchConfig, SearchOutcome
 
 
 def run(capsys, *argv):
@@ -147,6 +149,27 @@ class TestScanTrees:
         )
         assert code == EXIT_OK
         assert list(fail.iterdir()) == []
+
+    def test_budget_starvation_exits_inconclusive(self, capsys):
+        code, out, err = run(capsys, "scan-trees", "--max-n", "6", "--budget", "2")
+        assert code == EXIT_INCONCLUSIVE
+        assert "INCONCLUSIVE" in err
+
+    def test_exhausted_tree_wins_over_inconclusive(self, capsys, monkeypatch, tmp_path):
+        # every search gives up except on the 6-vertex path, which "exhausts"
+        def fake(g, cfg=SearchConfig()):
+            if g.n == 6 and len(g.edges) == 5 and max(map(len, g.adj)) == 2:
+                return SearchOutcome(EXHAUSTED, None, 1)
+            return SearchOutcome(INCONCLUSIVE, None, 1)
+
+        monkeypatch.setattr(treescan, "find_labeling", fake)
+        fail = tmp_path / "bad"
+        code, _, err = run(
+            capsys, "scan-trees", "--max-n", "6", "--fail-dir", str(fail)
+        )
+        assert code == EXIT_ERROR
+        assert "COUNTEREXAMPLE" in err
+        assert [p.name for p in fail.iterdir()] == ["counterexample_n6_0.el"]
 
 
 class TestMatchCoprime:

@@ -4,14 +4,23 @@ import pytest
 
 from nplabel.errors import UsageError
 from nplabel.families import random_tree, tree_from_pruefer
-from nplabel.graph import Graph, is_tree
-from nplabel.search import SearchConfig
+from nplabel import treescan
+from nplabel.graph import Graph, VerificationReport, is_tree, verify
+from nplabel.search import (
+    EXHAUSTED,
+    FOUND,
+    SearchConfig,
+    SearchOutcome,
+    brute_force_oracle,
+    find_labeling,
+)
 from nplabel.treescan import (
     ahu_canonical,
     count_free_trees_by_pruefer,
     crosscheck_tree_counts,
     enumerate_free_trees,
     enumerate_free_trees_by_extension,
+    pendant_core,
     scan_conjecture,
     tree_centers,
 )
@@ -139,3 +148,94 @@ class TestScanConjecture:
     def test_range_guard(self):
         with pytest.raises(UsageError):
             scan_conjecture(0)
+
+
+class TestPendantCore:
+    def test_irreducible_counts(self):
+        # trees that are their own core: no leaf hangs on a vertex of degree >= 3
+        counts = {
+            n: sum(pendant_core(t).graph.n == n for t in enumerate_free_trees(n))
+            for n in (12, 13, 14)
+        }
+        assert counts == {12: 16, 13: 29, 14: 49}
+
+    def test_star_reduces_to_path(self):
+        star = Graph(6, [(1, v) for v in range(2, 7)])
+        core = pendant_core(star)
+        assert core.graph == Graph(3, [(1, 2), (1, 3)])
+        assert len(core.stripped) == 3 and core.vertices[0] == 1
+
+    def test_isomorphic_trees_share_core_graph(self):
+        rng = random.Random(11)
+        for n in (6, 10, 14, 20):
+            for seed in range(10):
+                g = random_tree(n, seed)
+                perm = list(range(1, n + 1))
+                rng.shuffle(perm)
+                a, b = pendant_core(g), pendant_core(permuted(g, perm))
+                assert a.graph == b.graph and a.code == b.code
+
+    def test_core_labeling_extends_to_tree(self):
+        for n in range(1, 12):
+            for t in enumerate_free_trees(n):
+                core = pendant_core(t)
+                labels = treescan._tree_labeling(
+                    core, find_labeling(core.graph).labeling)
+                assert verify(t, labels).ok
+
+
+class TestScanReduction:
+    def test_every_found_labeling_verified(self, monkeypatch):
+        checked = []
+
+        def recording_verify(g, labels):
+            report = verify(g, labels)
+            checked.append((ahu_canonical(g), report.ok))
+            return report
+
+        monkeypatch.setattr(treescan, "verify", recording_verify)
+        report = scan_conjecture(11)
+        assert len(checked) == sum(r.tree_count for r in report.rows) == 436
+        assert len({code for code, _ in checked}) == 436
+        assert all(ok for _, ok in checked)
+
+    def test_invalid_extension_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            treescan, "verify", lambda g, labels: VerificationReport(False, (), 0)
+        )
+        with pytest.raises(RuntimeError, match="invalid labeling"):
+            scan_conjecture(3)
+
+    def test_statuses_agree_with_oracle(self):
+        report = scan_conjecture(8)
+        for row in report.rows:
+            trees = list(enumerate_free_trees(row.n))
+            oracle = [brute_force_oracle(t).status for t in trees]
+            assert row.solved_count == oracle.count(FOUND)
+            assert list(row.failures) == [
+                ahu_canonical(t) for t, s in zip(trees, oracle) if s == EXHAUSTED
+            ]
+            assert not row.inconclusive
+
+    def test_exhausted_comes_from_full_tree_search(self, monkeypatch):
+        searched = []
+
+        def exhausted(g, cfg=SearchConfig()):
+            searched.append(g)
+            return SearchOutcome(EXHAUSTED, None, 1)
+
+        monkeypatch.setattr(treescan, "find_labeling", exhausted)
+        report = scan_conjecture(6)
+        for row in report.rows:
+            trees = list(enumerate_free_trees(row.n))
+            assert list(row.failure_graphs) == trees
+            assert row.nodes == row.core_searches + row.tree_count
+        assert sum(r.core_searches for r in report.rows) == 6
+        assert len(searched) == 6 + 14
+
+    def test_each_core_searched_once(self):
+        report = scan_conjecture(11)
+        # every core is an irreducible tree, first met at its own size
+        assert [r.core_searches for r in report.rows] == [
+            1, 1, 1, 1, 1, 1, 2, 2, 4, 6, 10]
+        assert all(r.nodes > 0 for r in report.rows)

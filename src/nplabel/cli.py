@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import fileio
 from .errors import NPLabelError, UnsupportedParameters, UnsupportedStructure
-from .families import FamilySpec, generate, parse_family
+from .families import generate, parse_family
 from .graph import verify
 from . import labelers
 from .numtheory import coprime_matching
@@ -30,39 +30,6 @@ EXIT_EXHAUSTED = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _labels_for(spec: FamilySpec):
-    kind, args = spec.kind, spec.args
-    if kind == "path":
-        return labelers.label_path(int(args[0]))
-    if kind == "gear":
-        return labelers.label_gear(int(args[0]))
-    if kind == "snake":
-        return labelers.label_snake(int(args[0]), int(args[1]))
-    if kind == "stargon":
-        return labelers.label_star_gon(int(args[0]), int(args[1]))
-    if kind == "book" and args and int(args[0]) == 5:
-        return labelers.label_book5(int(args[1]))
-    if kind == "book5":
-        return labelers.label_book5(int(args[0]))
-    if kind == "mobius":
-        return labelers.label_mobius(int(args[0]))
-    if kind == "caterpillar":
-        return labelers.label_caterpillar([int(a) for a in args])
-    if kind == "spider":
-        return labelers.label_spider([int(a) for a in args])
-    if kind == "banana":
-        return labelers.label_banana(int(args[0]), int(args[1]))
-    if kind == "firecracker":
-        return labelers.label_firecracker(int(args[0]), int(args[1]))
-    if kind in ("fullbinary", "completebinary"):
-        return labelers.label_full_binary(generate(spec))
-    if kind in ("kary", "cayley"):
-        return labelers.label_bivalent_free(generate(spec))
-    raise UnsupportedParameters(
-        "no constructive labeler for family %r; use the 'search' command" % kind
-    )
-
-
 def _cmd_gen(ns) -> int:
     g = generate(parse_family(ns.family))
     text = fileio.write_edge_list(g)
@@ -77,8 +44,8 @@ def _cmd_gen(ns) -> int:
 
 def _cmd_label(ns) -> int:
     spec = parse_family(ns.family)
-    labels = _labels_for(spec)
     g = generate(spec)
+    labels = labelers.label_family(spec, g)
     report = verify(g, labels)
     if not report.ok:
         print("UNVERIFIED: internal labeling failed verification", file=sys.stderr)

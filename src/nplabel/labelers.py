@@ -19,6 +19,8 @@ from .errors import (
 )
 from .graph import Graph, Labeling, contract, is_tree, verify, with_pendant
 from .families import (
+    FamilySpec,
+    _ints,
     path_graph,
     snake_base_vertex,
     snake_vertex_count,
@@ -495,3 +497,49 @@ def label_full_binary(t: Graph) -> List[int]:
     ):
         return label_bivalent_free(t)
     return list(range(1, t.n + 1))
+
+
+def _label_book(k: int, n: int) -> List[int]:
+    if k != 5:
+        raise UnsupportedParameters(
+            "no constructive labeler for book with k=%d; use the 'search' command" % k
+        )
+    return label_book5(n)
+
+
+# Closed-form labeler per family kind.  An entry takes the spec's arguments
+# and the graph generate() built from them; integer arguments are parsed by
+# the same helper as in generate().  Entries look the labelers up at call
+# time, so the benchmark tracer (perfbench/), which replaces module
+# attributes, sees every labeler call.
+_LABELERS = {
+    "path": lambda args, g: label_path(*_ints(args, 1)),
+    "gear": lambda args, g: label_gear(*_ints(args, 1)),
+    "snake": lambda args, g: label_snake(*_ints(args, 2)),
+    "stargon": lambda args, g: label_star_gon(*_ints(args, 2)),
+    "book": lambda args, g: _label_book(*_ints(args, 2)),
+    "book5": lambda args, g: label_book5(*_ints(args, 1)),
+    "mobius": lambda args, g: label_mobius(*_ints(args, 1)),
+    "caterpillar": lambda args, g: label_caterpillar(_ints(args, None)),
+    "spider": lambda args, g: label_spider(_ints(args, None)),
+    "banana": lambda args, g: label_banana(*_ints(args, 2)),
+    "firecracker": lambda args, g: label_firecracker(*_ints(args, 2)),
+    "fullbinary": lambda args, g: label_full_binary(g),
+    "completebinary": lambda args, g: label_full_binary(g),
+    "kary": lambda args, g: label_bivalent_free(g),
+    "cayley": lambda args, g: label_bivalent_free(g),
+}
+
+
+def label_family(spec: FamilySpec, g: Graph) -> List[int]:
+    """Closed-form labeling of ``g``, the graph ``generate(spec)`` built.
+
+    Families without a labeler (cycles, random trees) raise
+    UnsupportedParameters, as do out-of-range parameters of the others.
+    """
+    if spec.kind not in _LABELERS:
+        raise UnsupportedParameters(
+            "no constructive labeler for family %r; use the 'search' command"
+            % spec.kind
+        )
+    return _LABELERS[spec.kind](spec.args, g)

@@ -1,3 +1,5 @@
+import pytest
+
 from nplabel.cli import (
     EXIT_ERROR,
     EXIT_EXHAUSTED,
@@ -59,6 +61,21 @@ class TestLabel:
 
     def test_unsupported_suggests_search(self, capsys):
         code, _, err = run(capsys, "label", "--family", "snake:6,4")
+        assert code == EXIT_ERROR
+        assert "search" in err
+
+    @pytest.mark.parametrize(
+        "spec", ["path:abc", "gear:x", "caterpillar:1,x", "book:5", "firecracker:3"]
+    )
+    def test_malformed_spec_is_an_error(self, capsys, spec):
+        code, out, err = run(capsys, "label", "--family", spec)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_non_pentagonal_book_suggests_search(self, capsys):
+        code, _, err = run(capsys, "label", "--family", "book:4,3")
         assert code == EXIT_ERROR
         assert "search" in err
 

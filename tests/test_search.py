@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from nplabel import _searchcore
 from nplabel.errors import UsageError
 from nplabel.families import cycle_graph, path_graph, random_tree
 from nplabel.graph import Graph, verify
@@ -17,13 +16,6 @@ from nplabel.search import (
     find_labeling,
     kernel_name,
 )
-
-try:
-    from nplabel import _searchext
-
-    KERNELS = [_searchcore, _searchext]
-except ImportError:
-    KERNELS = [_searchcore]
 
 
 def star(n):
@@ -100,8 +92,10 @@ class TestFindLabeling:
             assert verify(path_graph(5), sol).ok
 
 
-class TestKernelParity:
-    def test_both_kernels_agree(self):
+class TestKernelGolden:
+    def test_golden_counts(self):
+        # find_all status, nodes explored and solution count, pinned so that
+        # a change to the search order or pruning shows up
         graphs = [
             cycle_graph(5),
             cycle_graph(6),
@@ -110,19 +104,21 @@ class TestKernelParity:
             random_tree(8, 1),
             random_tree(8, 2),
         ]
+        got = []
         for g in graphs:
-            outcomes = [
-                find_labeling(g, SearchConfig(find_all=True), kernel=k)
-                for k in KERNELS
-            ]
-            first = outcomes[0]
-            for other in outcomes[1:]:
-                assert other.status == first.status
-                assert other.nodes_explored == first.nodes_explored
-                assert other.all_solutions == first.all_solutions
+            out = find_labeling(g, SearchConfig(find_all=True))
+            got.append((out.status, out.nodes_explored, len(out.all_solutions)))
+        assert got == [
+            (FOUND, 277, 60),
+            (EXHAUSTED, 916, 0),
+            (FOUND, 1008, 136),
+            (FOUND, 325, 120),
+            (FOUND, 64084, 19512),
+            (FOUND, 47020, 8712),
+        ]
 
     def test_kernel_name_reports(self):
-        assert kernel_name() in ("cython", "pure-python")
+        assert kernel_name() == "pure-python"
 
 
 class TestOracleEquivalence:

@@ -21,7 +21,6 @@ from .graph import Graph, Labeling, contract, is_tree, verify, with_pendant
 from .families import (
     FamilySpec,
     _ints,
-    path_graph,
     snake_base_vertex,
     snake_vertex_count,
 )
@@ -244,17 +243,15 @@ def extend_pendant(g: Graph, f: Labeling, v: int) -> Tuple[Graph, List[int]]:
 
 def label_caterpillar(pendant_counts: Sequence[int]) -> List[int]:
     """Caterpillar labeling: path labels on the spine, then pendant labels
-    n+1, n+2, ... assigned interior vertex by interior vertex."""
+    s+1, s+2, ... in ``caterpillar_graph``'s pendant order.  Every pendant
+    hangs on an interior spine vertex, so this is the ``extend_pendant``
+    chain from the labeled path, without rebuilding and re-verifying the
+    graph for each leaf."""
     counts = list(pendant_counts)
     if any(c < 0 for c in counts):
         raise InvalidSpec("pendant counts must be nonnegative")
     s = len(counts) + 2
-    g = path_graph(s)
-    f = label_path(s)
-    for j, c in enumerate(counts):
-        for _ in range(c):
-            g, f = extend_pendant(g, f, j + 2)
-    return f
+    return label_path(s) + list(range(s + 1, s + sum(counts) + 1))
 
 
 def label_spider(leg_lengths: Sequence[int]) -> List[int]:

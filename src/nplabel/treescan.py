@@ -1,10 +1,11 @@
 """Free-tree enumeration and the conjecture scan over all small trees.
 
-Two independent generators back each other up: the primary walks canonical
-rooted level sequences (Beyer-Hedetniemi successor) and keeps one
-centroid-canonical rooting per free tree; the secondary grows trees by
-leaf attachment with AHU deduplication.  Matching counts between the two
-is the self-validation the scan relies on.
+Two independent generators back each other up: the primary is the
+Wright-Richmond-Odlyzko-McKay generator, which steps through rooted level
+sequences (Beyer-Hedetniemi successor) and emits exactly one per free tree,
+with no filter; the secondary grows trees by leaf attachment with AHU
+deduplication.  Matching counts between the two is the self-validation the
+scan relies on.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import UsageError
 from .graph import Graph, is_tree, verify
@@ -80,104 +81,77 @@ def _rooted_encoding(t: Graph, root: int):
     return code[root], root, code, parent
 
 
-# -- primary generator: canonical rooted level sequences ---------------------
+# -- primary generator: Wright-Richmond-Odlyzko-McKay -------------------------
 
 
-def _level_sequences(n: int) -> Iterator[List[int]]:
-    """Beyer-Hedetniemi successor enumeration of canonical rooted-tree level
-    sequences on n vertices (root at level 1)."""
-    levels = list(range(1, n + 1))
-    yield levels[:]
-    if n <= 2:
-        return
-    while True:
-        p = max((i for i in range(n) if levels[i] > 2), default=-1)
-        if p < 0:
-            return
-        q = max(i for i in range(p) if levels[i] == levels[p] - 1)
-        for i in range(p, n):
-            levels[i] = levels[i - (p - q)]
-        yield levels[:]
-
-
-def _tree_from_levels(levels: List[int]) -> Tuple[Graph, List[int]]:
-    """Graph (vertex i+1 = position i) and 0-based parent array (-1 = root)."""
-    n = len(levels)
-    parent = [-1] * n
-    stack = [0]
-    for i in range(1, n):
-        while levels[stack[-1]] != levels[i] - 1:
-            stack.pop()
-        parent[i] = stack[-1]
-        stack.append(i)
-    edges = [(parent[i] + 1, i + 1) for i in range(1, n)]
-    return Graph(n, edges), parent
-
-
-def _subtree_sizes(parent: List[int]) -> List[int]:
-    n = len(parent)
-    size = [1] * n
-    for i in range(n - 1, 0, -1):
-        size[parent[i]] += size[i]
-    return size
-
-
-def _centroids(parent: List[int], size: List[int]) -> List[int]:
-    n = len(parent)
-    best = None
-    out = []
-    for v in range(n):
-        heaviest = n - size[v]
-        for u in range(n):
-            if parent[u] == v and size[u] > heaviest:
-                heaviest = size[u]
-        if best is None or heaviest < best:
-            best = heaviest
-            out = [v]
-        elif heaviest == best:
-            out.append(v)
-    return out
-
-
-def _rooted_code(children: List[List[int]], v: int) -> str:
-    kids = sorted(_rooted_code(children, u) for u in children[v])
-    return "(" + "".join(kids) + ")"
-
-
-def _is_free_canonical(parent: List[int]) -> bool:
-    """Keep exactly one rooted representative per free tree: the root must be
-    a centroid, and for bicentroidal trees the centroid subtree must not
-    out-rank the root's half."""
-    n = len(parent)
-    size = _subtree_sizes(parent)
-    cents = _centroids(parent, size)
-    if 0 not in cents:
+def _next_rooted(levels: List[int], p: Optional[int] = None) -> bool:
+    """Beyer-Hedetniemi successor, in place: the canonical rooted level
+    sequence (root at level 1) that follows ``levels``, found by moving
+    position p up one level and repeating the block from its parent on.
+    p defaults to the last position deeper than level 2; False after the
+    star, which has no successor."""
+    if p is None:
+        p = len(levels) - 1
+        while levels[p] == 2:
+            p -= 1
+    if p == 0:
         return False
-    if len(cents) == 1:
-        return True
-    other = cents[0] if cents[0] != 0 else cents[1]
-    if parent[other] != 0:
-        return False  # the two centroids are always adjacent
-    children = [[] for _ in range(n)]
-    for i in range(1, n):
-        children[parent[i]].append(i)
-    half_a = _rooted_code(children, other)
-    children[0] = [u for u in children[0] if u != other]
-    half_b = _rooted_code(children, 0)
-    return half_a <= half_b
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    for i in range(p, len(levels)):
+        levels[i] = levels[i - p + q]
+    return True
+
+
+def _second_subtree(levels: List[int]) -> int:
+    """Position where the root's second subtree starts (len if none)."""
+    return next((i for i in range(2, len(levels)) if levels[i] == 2), len(levels))
+
+
+def _tree_from_levels(levels: List[int]) -> Graph:
+    """Tree whose vertex i+1 is position i of the level sequence."""
+    last = [0] * (len(levels) + 1)  # latest vertex seen at each level
+    edges = []
+    for v, level in enumerate(levels, 1):
+        if level > 1:
+            edges.append((last[level - 1], v))
+        last[level] = v
+    return Graph(len(levels), edges)
 
 
 def enumerate_free_trees(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of trees on n vertices."""
+    """One representative per isomorphism class of trees on n vertices.
+
+    Wright, Richmond, Odlyzko & McKay, *Constant time generation of free
+    trees* (SIAM J. Comput. 1986): a rooted level sequence stands for its
+    free tree when the root's first subtree (the left half) is not above
+    the rest of the tree in (height, size, sequence).  An out-of-order
+    sequence skips straight to the next rooted sequence that changes the
+    left half, with the tail reset to the lowest path allowed."""
     if not (1 <= n <= MAX_ENUM_N):
         raise UsageError("tree enumeration supports 1 <= n <= %d" % MAX_ENUM_N)
     if n == 1:
         yield Graph(1, [])
         return
-    for levels in _level_sequences(n):
-        g, parent = _tree_from_levels(levels)
-        if _is_free_canonical(parent):
-            yield g
+    # the path, rooted at a center
+    levels = list(range(1, n // 2 + 2)) + list(range(2, (n + 1) // 2 + 1))
+    while True:
+        m = _second_subtree(levels)
+        left = [level - 1 for level in levels[1:m]]
+        rest = [1] + levels[m:]
+        if (max(left), len(left), left) <= (max(rest), len(rest), rest):
+            yield _tree_from_levels(levels)
+            if not _next_rooted(levels):
+                return
+        else:
+            # step at the left half's last vertex; if the left half stays
+            # tall, the tail becomes a path from the root down to its depth
+            tall = levels[m - 1] > 3
+            _next_rooted(levels, m - 1)
+            if tall:
+                h = max(levels[1:_second_subtree(levels)])
+                levels[n + 1 - h:] = range(2, h + 1)
 
 
 # -- secondary and tertiary generators (cross-checks) ------------------------

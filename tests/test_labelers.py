@@ -241,7 +241,14 @@ class TestLabelCaterpillar:
         rng = random.Random(42)
         for _ in range(60):
             counts = [rng.randint(0, 4) for _ in range(rng.randint(0, 8))]
-            assert verify(caterpillar_graph(counts), label_caterpillar(counts)).ok
+            f = label_caterpillar(counts)
+            assert verify(caterpillar_graph(counts), f).ok
+            # the reference construction: the pendant lemma, leaf by leaf
+            g, chain = path_graph(len(counts) + 2), label_path(len(counts) + 2)
+            for j, c in enumerate(counts):
+                for _ in range(c):
+                    g, chain = extend_pendant(g, chain, j + 2)
+            assert g == caterpillar_graph(counts) and f == chain
 
 
 class TestLabelSpider:

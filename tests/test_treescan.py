@@ -25,8 +25,9 @@ from nplabel.treescan import (
     tree_centers,
 )
 
-# counts of non-isomorphic trees on 1..11 vertices
-FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235]
+# counts of non-isomorphic trees on 1..16 vertices (OEIS A000055)
+FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159,
+                    7741, 19320]
 
 
 def permuted(g, perm):
@@ -75,7 +76,7 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_free_trees(7)) == 11
 
     def test_published_sequence(self):
-        for n, want in enumerate(FREE_TREE_COUNTS[:9], start=1):
+        for n, want in enumerate(FREE_TREE_COUNTS, start=1):
             assert sum(1 for _ in enumerate_free_trees(n)) == want
 
     def test_all_outputs_are_trees_and_distinct(self):
@@ -90,7 +91,7 @@ class TestEnumeration:
             assert a == b == FREE_TREE_COUNTS[n - 1]
 
     def test_extension_generator_codes_match(self):
-        for n in (4, 6, 8):
+        for n in (4, 5, 6, 7, 8, 9):
             primary = {ahu_canonical(t) for t in enumerate_free_trees(n)}
             secondary = {
                 ahu_canonical(t) for t in enumerate_free_trees_by_extension(n)
@@ -155,9 +156,9 @@ class TestPendantCore:
         # trees that are their own core: no leaf hangs on a vertex of degree >= 3
         counts = {
             n: sum(pendant_core(t).graph.n == n for t in enumerate_free_trees(n))
-            for n in (12, 13, 14)
+            for n in (12, 13, 14, 15)
         }
-        assert counts == {12: 16, 13: 29, 14: 49}
+        assert counts == {12: 16, 13: 29, 14: 49, 15: 89}
 
     def test_star_reduces_to_path(self):
         star = Graph(6, [(1, v) for v in range(2, 7)])
@@ -234,8 +235,11 @@ class TestScanReduction:
         assert len(searched) == 6 + 14
 
     def test_each_core_searched_once(self):
-        report = scan_conjecture(11)
+        report = scan_conjecture(12)
         # every core is an irreducible tree, first met at its own size
         assert [r.core_searches for r in report.rows] == [
-            1, 1, 1, 1, 1, 1, 2, 2, 4, 6, 10]
-        assert all(r.nodes > 0 for r in report.rows)
+            1, 1, 1, 1, 1, 1, 2, 2, 4, 6, 10, 16]
+        # cores are canonically numbered, so the search work does not
+        # depend on which generator produced the trees
+        assert [r.nodes for r in report.rows] == [
+            1, 2, 3, 4, 5, 8, 18, 26, 43, 95, 128, 1612]

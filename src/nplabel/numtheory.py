@@ -3,11 +3,13 @@
 The firecracker labeler needs a prime in (n, 2n] and a perfect matching
 between {1..n} and {2n+1..3n} pairing coprime integers; the matching is
 guaranteed to exist, so failing to find one is a hard invariant violation.
+For even n the matching splits by parity: Y then holds as many odd
+numbers as X holds even ones, and an even x is coprime only to odd y, so
+the even x take every odd y and no odd x can ever take an odd y.
 """
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Tuple
@@ -119,12 +121,23 @@ def coprime_matching(n: int) -> CoprimeMatching:
     the smallest partner for which the rest of the matching can still be
     repaired by an augmenting path, which yields the lexicographic minimum
     of the sequence (map(1), map(2), ..., map(n)).
+
+    For even n, lo = 2n+1 is odd and Y holds n/2 odd y, exactly as many
+    as X holds even x; an even x is coprime only to odd y, so every
+    perfect matching gives the odd y to the even x.  The odd-x-to-odd-y
+    edges therefore lie in no perfect matching and are dropped before the
+    search, which spares phase 2 its doomed repairs; the minimum is the
+    same.  For odd n no edge is dropped.
     """
     if n < 1:
         raise UsageError("coprime_matching requires n >= 1, got %d" % n)
     lo = 2 * n + 1
     full = (1 << n) - 1
     cop = _coprime_masks(n)
+    if n % 2 == 0:
+        even_j = full // 3  # bits 0, 2, ..., n-2: the odd y
+        for x in range(1, n + 1, 2):
+            cop[x] &= ~even_j
     match_of_y = [0] * n  # index y - lo -> matched x, 0 = free
     match_of_x = [0] * (n + 1)
     avail = full  # ys neither locked nor visited by the running augmentation
@@ -132,67 +145,69 @@ def coprime_matching(n: int) -> CoprimeMatching:
     free_mask = 0  # ys with no partner; tried first so repairs stay shallow
 
     def augment(x):
+        """Depth-first augmenting path from x: a free y if one is adjacent
+        (smallest first), else the largest y whose owner can move on."""
         nonlocal avail, free_mask
-        cand = cop[x] & avail
-        quick = cand & free_mask
-        if quick:
-            j = (quick & -quick).bit_length() - 1
-            avail &= ~(1 << j)
-            free_mask &= ~(1 << j)
-            match_of_y[j] = x
-            match_of_x[x] = lo + j
-            return True
-        while cand:
+        path = []  # (x, its untried ys, the y it is trying) down to here
+        while True:
+            cand = cop[x] & avail
+            quick = cand & free_mask
+            if quick:
+                j = (quick & -quick).bit_length() - 1
+                avail &= ~(1 << j)
+                free_mask &= ~(1 << j)
+                match_of_y[j] = x
+                match_of_x[x] = lo + j
+                for x, _, j in path:
+                    match_of_y[j] = x
+                    match_of_x[x] = lo + j
+                return True
+            while not cand:
+                if not path:
+                    return False
+                x, cand, _ = path.pop()
+                cand &= avail
             j = cand.bit_length() - 1
             bit = 1 << j
             cand &= ~bit
             avail &= ~bit
-            if augment(match_of_y[j]):
-                match_of_y[j] = x
-                match_of_x[x] = lo + j
-                return True
-            cand &= avail
-        return False
+            path.append((x, cand, j))
+            x = match_of_y[j]
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * n + 100))
-    try:
-        free_mask = full
-        for x in range(1, n + 1):
-            avail = full
-            ok = augment(x)
-            assert ok, (
-                "no perfect coprime matching at n=%d; this would falsify "
-                "the Pomerance-Selfridge theorem" % n
-            )
+    free_mask = full
+    for x in range(1, n + 1):
+        avail = full
+        ok = augment(x)
+        assert ok, (
+            "no perfect coprime matching at n=%d; this would falsify "
+            "the Pomerance-Selfridge theorem" % n
+        )
 
-        unlocked = full
-        for x in range(1, n + 1):
-            cur = match_of_x[x]
-            jc = cur - lo
-            cand = cop[x] & unlocked & ((1 << jc) - 1)
-            dead = 0  # ys visited by a failed repair can never repair either
-            while cand:
-                j = (cand & -cand).bit_length() - 1
-                cand &= cand - 1
-                if dead >> j & 1:
-                    continue
-                # tentatively steal y = lo+j from its owner and repair
-                owner = match_of_y[j]
-                match_of_y[jc] = 0
-                match_of_y[j] = x
-                match_of_x[x] = lo + j
-                avail = unlocked & ~(1 << j)
-                free_mask = 1 << jc
-                if augment(owner):
-                    break
-                dead |= unlocked & ~avail
-                match_of_y[j] = owner
-                match_of_x[owner] = lo + j
-                match_of_x[x] = cur
-                match_of_y[jc] = x
-            free_mask = 0
-            unlocked &= ~(1 << (match_of_x[x] - lo))
-    finally:
-        sys.setrecursionlimit(old_limit)
+    unlocked = full
+    for x in range(1, n + 1):
+        cur = match_of_x[x]
+        jc = cur - lo
+        cand = cop[x] & unlocked & ((1 << jc) - 1)
+        dead = 0  # ys visited by a failed repair can never repair either
+        while cand:
+            j = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            if dead >> j & 1:
+                continue
+            # tentatively steal y = lo+j from its owner and repair
+            owner = match_of_y[j]
+            match_of_y[jc] = 0
+            match_of_y[j] = x
+            match_of_x[x] = lo + j
+            avail = unlocked & ~(1 << j)
+            free_mask = 1 << jc
+            if augment(owner):
+                break
+            dead |= unlocked & ~avail
+            match_of_y[j] = owner
+            match_of_x[owner] = lo + j
+            match_of_x[x] = cur
+            match_of_y[jc] = x
+        free_mask = 0
+        unlocked &= ~(1 << (match_of_x[x] - lo))
     return CoprimeMatching(n, tuple(match_of_x[1:]))

@@ -1,3 +1,5 @@
+import hashlib
+import sys
 from itertools import permutations
 from math import gcd
 
@@ -88,3 +90,37 @@ class TestCoprimeMatching:
     def test_record_type(self):
         m = CoprimeMatching(2, (6, 5))
         assert m[2] == 5
+
+    def test_matches_lexmin_oracle_even_n8(self):
+        assert coprime_matching(8).pairs == lexmin_matching_oracle(8)
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (1900, "1cb58afae3f38984"),
+            (1901, "d9233188da175a62"),
+            (1994, "5df70c1a423733ca"),
+            (1999, "dbed9ca988a6967a"),
+            (2000, "8d2c8aa1b742292f"),
+        ],
+    )
+    def test_golden_pairs(self, n, digest):
+        pairs = coprime_matching(n).pairs
+        text = ",".join(map(str, pairs)).encode()
+        assert hashlib.sha256(text).hexdigest()[:16] == digest
+
+    def test_parity_structure(self):
+        # even n: odd x take even y and even x take odd y, in every
+        # perfect matching; odd n: Y has one odd y more than X has even x
+        for n in range(2, 201, 2):
+            pairs = coprime_matching(n).pairs
+            assert all((x + y) % 2 == 1 for x, y in enumerate(pairs, 1)), n
+        for n in range(1, 202, 2):
+            pairs = coprime_matching(n).pairs
+            odd_odd = [x for x, y in enumerate(pairs, 1) if x % 2 and y % 2]
+            assert len(odd_odd) == 1, n
+
+    def test_recursion_limit_untouched(self):
+        before = sys.getrecursionlimit()
+        coprime_matching(3001)
+        assert sys.getrecursionlimit() == before

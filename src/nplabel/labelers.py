@@ -348,24 +348,6 @@ def _walk_to_leaf(g: Graph, first: int, visited: set) -> List[int]:
         cur = min(nxt)
 
 
-def _tree_path(g: Graph, a: int, b: int) -> List[int]:
-    parent = {a: 0}
-    queue = deque([a])
-    while queue:
-        v = queue.popleft()
-        if v == b:
-            break
-        for u in g.adj[v]:
-            if u not in parent:
-                parent[u] = v
-                queue.append(u)
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 def _bfs_dist(g: Graph, src: int) -> dict:
     dist = {src: 0}
     queue = deque([src])
@@ -395,7 +377,10 @@ def _initial_leaf_path(t: Graph) -> List[int]:
     d1 = min(deg2, key=lambda v: (-dist[v], v))
     dist1 = _bfs_dist(t, d1)
     d2 = min(deg2, key=lambda v: (-dist1[v], v))
-    core = _tree_path(t, d1, d2)
+    core = [d2]  # walk back to d1: one neighbour per step is nearer to it
+    while core[-1] != d1:
+        core.append(next(u for u in t.adj[core[-1]] if dist1[u] < dist1[core[-1]]))
+    core.reverse()
     core_set = set(core)
     if any(d not in core_set for d in deg2):
         raise UnsupportedStructure(

@@ -2,10 +2,10 @@
 
 The firecracker labeler needs a prime in (n, 2n] and a perfect matching
 between {1..n} and {2n+1..3n} pairing coprime integers; the matching is
-guaranteed to exist, so failing to find one is a hard invariant violation.
-For even n the matching splits by parity: Y then holds as many odd
-numbers as X holds even ones, and an even x is coprime only to odd y, so
-the even x take every odd y and no odd x can ever take an odd y.
+guaranteed to exist (Pomerance & Selfridge 1980).  The search splits it
+by parity: an even x is coprime only to odd y, and once x = 1 holds
+y = 2n+1 when n is odd, Y is left with exactly one odd y per even x, so
+the even x take every odd y and no other odd x takes one.
 """
 
 from __future__ import annotations
@@ -122,22 +122,27 @@ def coprime_matching(n: int) -> CoprimeMatching:
     repaired by an augmenting path, which yields the lexicographic minimum
     of the sequence (map(1), map(2), ..., map(n)).
 
-    For even n, lo = 2n+1 is odd and Y holds n/2 odd y, exactly as many
-    as X holds even x; an even x is coprime only to odd y, so every
-    perfect matching gives the odd y to the even x.  The odd-x-to-odd-y
-    edges therefore lie in no perfect matching and are dropped before the
-    search, which spares phase 2 its doomed repairs; the minimum is the
-    same.  For odd n no edge is dropped.
+    lo = 2n+1 is odd, so Y holds ceil(n/2) odd y (the even bits j) and
+    X holds floor(n/2) even x, each coprime only to odd y.  For odd n,
+    x = 1 is first pinned to y = 2n+1, the smallest y and coprime to 1:
+    if any perfect matching gives it to x = 1, the lexicographic minimum
+    does.  Then, for both parities, the odd y left are exactly as many as
+    the even x, so no other odd x can take one; those edges are dropped
+    before the search, which spares phase 2 its doomed repairs.  The
+    odd-y mask has ceil(n/2) bits, which ``full // 3`` gives only for
+    even n.  The pin is checked on data, not proved: if it ever left no
+    perfect matching, phase 1 would fail loudly.
     """
     if n < 1:
         raise UsageError("coprime_matching requires n >= 1, got %d" % n)
     lo = 2 * n + 1
     full = (1 << n) - 1
     cop = _coprime_masks(n)
-    if n % 2 == 0:
-        even_j = full // 3  # bits 0, 2, ..., n-2: the odd y
-        for x in range(1, n + 1, 2):
-            cop[x] &= ~even_j
+    odd_y = ((1 << 2 * ((n + 1) // 2)) - 1) // 3  # bits 0, 2, 4, ...
+    for x in range(1, n + 1, 2):
+        cop[x] &= ~odd_y
+    if n % 2:
+        cop[1] = 1  # pin x = 1 to y = 2n+1
     match_of_y = [0] * n  # index y - lo -> matched x, 0 = free
     match_of_x = [0] * (n + 1)
     avail = full  # ys neither locked nor visited by the running augmentation
@@ -178,9 +183,11 @@ def coprime_matching(n: int) -> CoprimeMatching:
     for x in range(1, n + 1):
         avail = full
         ok = augment(x)
-        assert ok, (
-            "no perfect coprime matching at n=%d; this would falsify "
-            "the Pomerance-Selfridge theorem" % n
+        assert ok, "no perfect coprime matching at n=%d; %s" % (
+            n,
+            "pinning x = 1 to y = 2n+1 left none, and the pin is checked "
+            "on data, not proved" if n % 2
+            else "this would falsify the Pomerance-Selfridge theorem",
         )
 
     unlocked = full
@@ -188,12 +195,9 @@ def coprime_matching(n: int) -> CoprimeMatching:
         cur = match_of_x[x]
         jc = cur - lo
         cand = cop[x] & unlocked & ((1 << jc) - 1)
-        dead = 0  # ys visited by a failed repair can never repair either
         while cand:
             j = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            if dead >> j & 1:
-                continue
             # tentatively steal y = lo+j from its owner and repair
             owner = match_of_y[j]
             match_of_y[jc] = 0
@@ -203,7 +207,6 @@ def coprime_matching(n: int) -> CoprimeMatching:
             free_mask = 1 << jc
             if augment(owner):
                 break
-            dead |= unlocked & ~avail
             match_of_y[j] = owner
             match_of_x[owner] = lo + j
             match_of_x[x] = cur

@@ -1,8 +1,9 @@
 """Acceptance gate: nine end-to-end criteria, one test each.
 
 Each test prints a single summary line on success; the pytest -v status
-line doubles as the pass/fail record.  Expected total runtime is a few
-minutes, dominated by the number-theory sweep and the oracle comparisons.
+line doubles as the pass/fail record.  Expected total runtime is about
+half a minute, dominated by the C14 cycle search and the number-theory
+sweep.
 """
 
 import math

@@ -102,6 +102,7 @@ class TestCoprimeMatching:
             (1994, "5df70c1a423733ca"),
             (1999, "dbed9ca988a6967a"),
             (2000, "8d2c8aa1b742292f"),
+            (10001, "74ed1fad8329ef62"),
         ],
     )
     def test_golden_pairs(self, n, digest):
@@ -111,7 +112,8 @@ class TestCoprimeMatching:
 
     def test_parity_structure(self):
         # even n: odd x take even y and even x take odd y, in every
-        # perfect matching; odd n: Y has one odd y more than X has even x
+        # perfect matching; odd n: Y has one odd y more than X has even x,
+        # and x = 1 takes it, the smallest y
         for n in range(2, 201, 2):
             pairs = coprime_matching(n).pairs
             assert all((x + y) % 2 == 1 for x, y in enumerate(pairs, 1)), n
@@ -119,6 +121,7 @@ class TestCoprimeMatching:
             pairs = coprime_matching(n).pairs
             odd_odd = [x for x, y in enumerate(pairs, 1) if x % 2 and y % 2]
             assert len(odd_odd) == 1, n
+            assert pairs[0] == 2 * n + 1, n
 
     def test_recursion_limit_untouched(self):
         before = sys.getrecursionlimit()

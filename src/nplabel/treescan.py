@@ -10,17 +10,18 @@ scan relies on.
 
 from __future__ import annotations
 
+import random
 import time
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
+from itertools import count, product
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import UsageError
 from .graph import Graph, is_tree, verify
 from .search import (
+    DEFAULT_BUDGET,
     EXHAUSTED,
     FOUND,
-    INCONCLUSIVE,
     SearchConfig,
     SearchOutcome,
     find_labeling,
@@ -306,10 +307,14 @@ def scan_conjecture(
     Exhausted tree would falsify the conjecture and is surfaced with its
     canonical encoding and graph.
 
-    Each distinct pendant core (``pendant_core``) is searched once per call,
-    and its labeling is extended to every tree that has it and verified.  A
-    tree whose core search ends without a labeling gets the full search of
-    the tree itself, so Exhausted always comes from a full-tree search.
+    Each distinct pendant core (``pendant_core``) is searched once per call
+    by ``_search_core`` (randomized restarts, then a complete search), and
+    its labeling is extended to every tree that has it and verified.  A
+    tree whose core search is exhausted gets the full search of the tree
+    itself, so Exhausted always comes from a full-tree search; so does a
+    tree that had leaves stripped and whose core search is inconclusive.
+    An irreducible tree is its own core, so an inconclusive core search
+    is its result.
     With ``jobs > 1`` the cores first met at each size are searched in a
     process pool."""
     if not (1 <= max_n <= MAX_ENUM_N):
@@ -320,6 +325,58 @@ def scan_conjecture(
         with multiprocessing.get_context("spawn").Pool(jobs) as pool:
             return _scan(max_n, cfg, pool)
     return _scan(max_n, cfg, None)
+
+
+RESTART_UNIT = 100  # nodes in one unit of the Luby schedule
+
+
+def _luby(i: int) -> int:
+    """Term i >= 1 of the Luby sequence 1, 1, 2, 1, 1, 2, 4, 1, ...: the
+    universal restart schedule of Luby, Sinclair & Zuckerman (1993)."""
+    k = i.bit_length()
+    while i != (1 << k) - 1:
+        i -= (1 << (k - 1)) - 1
+        k = i.bit_length()
+    return 1 << (k - 1)
+
+
+def _search_core(core: Graph, code: str, cfg: SearchConfig) -> SearchOutcome:
+    """Search a core with restarts on the Luby schedule, then completely.
+
+    Restart i is ``find_labeling`` with ``cfg``'s settings but a cap of
+    ``_luby(i) * RESTART_UNIT`` nodes, on the core renumbered by a
+    permutation, so that the vertex order breaks its ties differently:
+    the identity first (the plain search), then shuffles drawn from
+    ``random.Random(code)``, a seed that does not depend on
+    ``PYTHONHASHSEED``.  The restarts stop once their caps would pass half
+    the node budget (half of ``DEFAULT_BUDGET`` when it is unlimited); a
+    complete search in canonical numbering then gets the rest, so
+    Exhausted and Inconclusive mean what they mean for ``find_labeling``.
+    Any search that ends Found or Exhausted settles the core.
+    ``nodes_explored`` counts every search."""
+    budget = cfg.node_budget
+    half = (DEFAULT_BUDGET if budget is None else budget) // 2
+    spent = capped = 0
+    perm = list(range(1, core.n + 1))
+    rng = random.Random(code)
+    for i in count(1):
+        cap = _luby(i) * RESTART_UNIT
+        capped += cap
+        if capped > half:
+            break
+        if i > 1:
+            rng.shuffle(perm)
+        g = Graph(core.n, [(perm[u - 1], perm[v - 1]) for u, v in core.edges])
+        outcome = find_labeling(g, replace(cfg, node_budget=cap))
+        spent += outcome.nodes_explored
+        if outcome.status == FOUND:
+            labels = tuple(outcome.labeling[w - 1] for w in perm)
+            return SearchOutcome(FOUND, labels, spent)
+        if outcome.status == EXHAUSTED:
+            return SearchOutcome(EXHAUSTED, None, spent)
+    rest = None if budget is None else budget - spent
+    outcome = find_labeling(core, replace(cfg, node_budget=rest))
+    return SearchOutcome(outcome.status, outcome.labeling, spent + outcome.nodes_explored)
 
 
 def _scan(max_n: int, cfg: SearchConfig, pool) -> ConjectureReport:
@@ -337,7 +394,8 @@ def _scan(max_n: int, cfg: SearchConfig, pool) -> ConjectureReport:
         if pool is not None:
             cores = list(cores)
             new = {c.code: c for c in cores if c.code not in memo}
-            outcomes = pool.starmap(find_labeling, [(c.graph, cfg) for c in new.values()])
+            outcomes = pool.starmap(_search_core,
+                                    [(c.graph, c.code, cfg) for c in new.values()])
             memo.update(zip(new, outcomes))
             nodes += sum(o.nodes_explored for o in outcomes)
             core_searches += len(new)
@@ -345,12 +403,12 @@ def _scan(max_n: int, cfg: SearchConfig, pool) -> ConjectureReport:
         for c in cores:
             outcome = memo.get(c.code)
             if outcome is None:
-                outcome = memo[c.code] = find_labeling(c.graph, cfg)
+                outcome = memo[c.code] = _search_core(c.graph, c.code, cfg)
                 nodes += outcome.nodes_explored
                 core_searches += 1
             if outcome.status == FOUND:
                 labels = _tree_labeling(c, outcome.labeling)
-            else:
+            elif outcome.status == EXHAUSTED or c.stripped:
                 outcome = find_labeling(c.tree, cfg)
                 nodes += outcome.nodes_explored
                 labels = outcome.labeling

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -7,8 +10,10 @@ from nplabel.families import random_tree, tree_from_pruefer
 from nplabel import treescan
 from nplabel.graph import Graph, VerificationReport, is_tree, verify
 from nplabel.search import (
+    DEFAULT_BUDGET,
     EXHAUSTED,
     FOUND,
+    INCONCLUSIVE,
     SearchConfig,
     SearchOutcome,
     brute_force_oracle,
@@ -132,9 +137,9 @@ class TestScanConjecture:
     def test_parallel_scan_agrees(self):
         serial = scan_conjecture(6)
         parallel = scan_conjecture(6, jobs=2)
-        assert [r.solved_count for r in serial.rows] == [
-            r.solved_count for r in parallel.rows
-        ]
+        for a, b in zip(serial.rows, parallel.rows):
+            assert (a.solved_count, a.nodes, a.core_searches) == (
+                b.solved_count, b.nodes, b.core_searches)
 
     def test_table_output(self):
         text = scan_conjecture(3).table()
@@ -235,11 +240,74 @@ class TestScanReduction:
         assert len(searched) == 6 + 14
 
     def test_each_core_searched_once(self):
-        report = scan_conjecture(12)
+        report = scan_conjecture(14)
         # every core is an irreducible tree, first met at its own size
         assert [r.core_searches for r in report.rows] == [
-            1, 1, 1, 1, 1, 1, 2, 2, 4, 6, 10, 16]
-        # cores are canonically numbered, so the search work does not
-        # depend on which generator produced the trees
+            1, 1, 1, 1, 1, 1, 2, 2, 4, 6, 10, 16, 29, 49]
+        # cores are canonically numbered and restarts are seeded by the
+        # core's code, so the search work does not depend on which
+        # generator produced the trees
         assert [r.nodes for r in report.rows] == [
-            1, 2, 3, 4, 5, 8, 18, 26, 43, 95, 128, 1612]
+            1, 2, 3, 4, 5, 8, 18, 26, 43, 95, 128, 632, 883, 4258]
+
+    def test_irreducible_tree_searched_once(self, monkeypatch):
+        # an irreducible tree is its own core: an inconclusive core search
+        # is not repeated on the tree
+        searched = []
+
+        def recording(g, cfg=SearchConfig()):
+            searched.append(ahu_canonical(g))
+            return find_labeling(g, cfg)
+
+        monkeypatch.setattr(treescan, "find_labeling", recording)
+        report = scan_conjecture(8, SearchConfig(node_budget=2))
+        assert any(r.inconclusive for r in report.rows)
+        irreducible = [ahu_canonical(t) for n in range(1, 9)
+                       for t in enumerate_free_trees(n)
+                       if not pendant_core(t).stripped]
+        assert [searched.count(code) for code in irreducible] == [1] * len(irreducible)
+
+
+class TestRestarts:
+    def test_scan_to_sixteen_conclusive(self):
+        report = scan_conjecture(16)
+        last = report.rows[-1]
+        assert (last.tree_count, last.solved_count) == (19320, 19320)
+        assert not any(r.inconclusive or r.failures for r in report.rows)
+
+    def test_scans_repeat_exactly(self):
+        # the restart seed is the core's AHU code, which does not depend
+        # on the interpreter's string hash seed
+        script = ("from nplabel.treescan import scan_conjecture; "
+                  "print([r.nodes for r in scan_conjecture(13).rows])")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(treescan.__file__)))
+        runs = [
+            subprocess.run([sys.executable, "-c", script], check=True, text=True,
+                           capture_output=True, env=dict(env, PYTHONHASHSEED=seed)
+                           ).stdout
+            for seed in ("1", "2")
+        ]
+        here = [r.nodes for r in scan_conjecture(13).rows]
+        assert runs == [str(here) + "\n"] * 2
+
+    @pytest.mark.parametrize("budget, calls", [(10_000, 28), (None, 8191)])
+    def test_restarts_bounded_by_schedule(self, monkeypatch, budget, calls):
+        # the Luby caps, 100 nodes a unit, stop once they would pass half
+        # the budget (half of DEFAULT_BUDGET when unlimited); one complete
+        # search follows.  Reported node counts do not bound the loop.
+        searched = []
+
+        def inconclusive(g, cfg=SearchConfig()):
+            searched.append((ahu_canonical(g), cfg.node_budget))
+            return SearchOutcome(INCONCLUSIVE, None, 1)
+
+        monkeypatch.setattr(treescan, "find_labeling", inconclusive)
+        report = scan_conjecture(3, SearchConfig(node_budget=budget))
+        assert sum(r.core_searches for r in report.rows) == 3
+        codes = [ahu_canonical(t) for n in (1, 2, 3) for t in enumerate_free_trees(n)]
+        assert [sum(c == code for c, _ in searched) for code in codes] == [calls] * 3
+        caps = [cap for _, cap in searched[:calls]]
+        assert caps[:8] == [100, 100, 200, 100, 100, 200, 400, 100]
+        assert sum(caps[:-1]) <= (budget or DEFAULT_BUDGET) // 2
+        assert caps[-1] == (None if budget is None else budget - (calls - 1))

@@ -98,7 +98,7 @@ def _cmd_search(ns) -> int:
 
 def _cmd_scan_trees(ns) -> int:
     cfg = SearchConfig(node_budget=ns.budget)
-    report = scan_conjecture(ns.max_n, cfg, jobs=ns.jobs)
+    report = scan_conjecture(ns.max_n, cfg)
     sys.stdout.write(report.table())
     if ns.fail_dir:
         fail_dir = Path(ns.fail_dir)
@@ -158,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-trees", help="conjecture scan over all small trees")
     p.add_argument("--max-n", dest="max_n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=int, default=SearchConfig().node_budget)
     p.add_argument("--fail-dir", dest="fail_dir")
     p.set_defaults(func=_cmd_scan_trees)
@@ -172,7 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    try:
+        ns = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 here means "exhausted"
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return ns.func(ns)
     except (UnsupportedParameters, UnsupportedStructure) as exc:

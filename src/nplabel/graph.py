@@ -61,10 +61,6 @@ class Graph:
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, len(self.edges))
 
-    # pickling support for the parallel conjecture scanner
-    def __reduce__(self):
-        return (Graph, (self.n, sorted(self.edges)))
-
 
 @dataclass(frozen=True)
 class Violation:

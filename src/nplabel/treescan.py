@@ -300,33 +300,6 @@ class ConjectureReport:
         return "\n".join(lines) + "\n"
 
 
-def scan_conjecture(
-    max_n: int, cfg: SearchConfig = SearchConfig(), jobs: int = 1
-) -> ConjectureReport:
-    """Settle every non-isomorphic tree of each size up to max_n; any
-    Exhausted tree would falsify the conjecture and is surfaced with its
-    canonical encoding and graph.
-
-    Each distinct pendant core (``pendant_core``) is searched once per call
-    by ``_search_core`` (randomized restarts, then a complete search), and
-    its labeling is extended to every tree that has it and verified.  A
-    tree whose core search is exhausted gets the full search of the tree
-    itself, so Exhausted always comes from a full-tree search; so does a
-    tree that had leaves stripped and whose core search is inconclusive.
-    An irreducible tree is its own core, so an inconclusive core search
-    is its result.
-    With ``jobs > 1`` the cores first met at each size are searched in a
-    process pool."""
-    if not (1 <= max_n <= MAX_ENUM_N):
-        raise UsageError("max_n must be within 1..%d" % MAX_ENUM_N)
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.get_context("spawn").Pool(jobs) as pool:
-            return _scan(max_n, cfg, pool)
-    return _scan(max_n, cfg, None)
-
-
 RESTART_UNIT = 100  # nodes in one unit of the Luby schedule
 
 
@@ -379,28 +352,41 @@ def _search_core(core: Graph, code: str, cfg: SearchConfig) -> SearchOutcome:
     return SearchOutcome(outcome.status, outcome.labeling, spent + outcome.nodes_explored)
 
 
-def _scan(max_n: int, cfg: SearchConfig, pool) -> ConjectureReport:
+def scan_conjecture(
+    max_n: int, cfg: SearchConfig = SearchConfig(), jobs: int = 1
+) -> ConjectureReport:
+    """Settle every non-isomorphic tree of each size up to max_n; any
+    Exhausted tree would falsify the conjecture and is surfaced with its
+    canonical encoding and graph.
+
+    The trees stream from ``enumerate_free_trees`` and are settled one at a
+    time, so memory does not grow with the number of trees.  Each distinct
+    pendant core (``pendant_core``) is searched once per call by
+    ``_search_core`` (randomized restarts, then a complete search), and its
+    labeling is extended to every tree that has it and verified.  A tree
+    whose core search is exhausted gets the full search of the tree
+    itself, so Exhausted always comes from a full-tree search; so does a
+    tree that had leaves stripped and whose core search is inconclusive.
+    An irreducible tree is its own core, so an inconclusive core search
+    is its result.
+
+    ``jobs`` accepts only 1.  It is kept for existing callers that pass
+    ``jobs=1`` and goes in the next change to the benchmark."""
+    if not (1 <= max_n <= MAX_ENUM_N):
+        raise UsageError("max_n must be within 1..%d" % MAX_ENUM_N)
+    if jobs != 1:
+        raise UsageError("the scan is serial; jobs must be 1, got %r" % (jobs,))
     # core code -> outcome of its search.  It spans sizes, since a core met
     # at one size recurs among larger trees; it is local to one call.
     memo: Dict[str, SearchOutcome] = {}
     rows = []
     for n in range(1, max_n + 1):
         start = time.perf_counter()
-        trees = list(enumerate_free_trees(n))
-        # serially the cores stream, so only the trees are held; a pool
-        # needs the size's unsearched cores up front
-        cores = map(pendant_core, trees)
-        nodes = core_searches = solved = 0
-        if pool is not None:
-            cores = list(cores)
-            new = {c.code: c for c in cores if c.code not in memo}
-            outcomes = pool.starmap(_search_core,
-                                    [(c.graph, c.code, cfg) for c in new.values()])
-            memo.update(zip(new, outcomes))
-            nodes += sum(o.nodes_explored for o in outcomes)
-            core_searches += len(new)
+        tree_count = nodes = core_searches = solved = 0
         failed, inconclusive = [], []
-        for c in cores:
+        for t in enumerate_free_trees(n):
+            tree_count += 1
+            c = pendant_core(t)
             outcome = memo.get(c.code)
             if outcome is None:
                 outcome = memo[c.code] = _search_core(c.graph, c.code, cfg)
@@ -409,22 +395,22 @@ def _scan(max_n: int, cfg: SearchConfig, pool) -> ConjectureReport:
             if outcome.status == FOUND:
                 labels = _tree_labeling(c, outcome.labeling)
             elif outcome.status == EXHAUSTED or c.stripped:
-                outcome = find_labeling(c.tree, cfg)
+                outcome = find_labeling(t, cfg)
                 nodes += outcome.nodes_explored
                 labels = outcome.labeling
             if outcome.status == FOUND:
-                if not verify(c.tree, labels).ok:
+                if not verify(t, labels).ok:
                     raise RuntimeError("scan built an invalid labeling %s for tree %s"
-                                       % (labels, ahu_canonical(c.tree)))
+                                       % (labels, ahu_canonical(t)))
                 solved += 1
             elif outcome.status == EXHAUSTED:
-                failed.append(c.tree)
+                failed.append(t)
             else:
-                inconclusive.append(ahu_canonical(c.tree))
+                inconclusive.append(ahu_canonical(t))
         rows.append(
             SizeResult(
                 n=n,
-                tree_count=len(trees),
+                tree_count=tree_count,
                 solved_count=solved,
                 failures=tuple(ahu_canonical(t) for t in failed),
                 inconclusive=tuple(inconclusive),

@@ -189,6 +189,24 @@ class TestScanTrees:
         assert [p.name for p in fail.iterdir()] == ["counterexample_n6_0.el"]
 
 
+class TestUsageErrors:
+    # argparse exits 2 on its own, which would read as "search exhausted"
+    def test_missing_required_option(self, capsys):
+        code, _, err = run(capsys, "search")
+        assert code == EXIT_ERROR
+        assert "--graph" in err
+
+    def test_unknown_option(self, capsys):
+        code, _, err = run(capsys, "scan-trees", "--max-n", "5", "--jobs", "2")
+        assert code == EXIT_ERROR
+        assert "--jobs" in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == EXIT_OK
+        assert "usage: nplabel" in out
+
+
 class TestMatchCoprime:
     def test_pairs_printed(self, capsys):
         code, out, _ = run(capsys, "match-coprime", "--n", "3")

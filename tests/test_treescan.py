@@ -134,12 +134,33 @@ class TestScanConjecture:
         assert report.rows[-1].tree_count == 11
         assert report.conjecture_holds
 
-    def test_parallel_scan_agrees(self):
-        serial = scan_conjecture(6)
-        parallel = scan_conjecture(6, jobs=2)
-        for a, b in zip(serial.rows, parallel.rows):
-            assert (a.solved_count, a.nodes, a.core_searches) == (
-                b.solved_count, b.nodes, b.core_searches)
+    def test_scan_is_serial(self):
+        # jobs stays only for callers that pass jobs=1
+        assert scan_conjecture(6, jobs=1).conjecture_holds
+        for jobs in (2, 0):
+            with pytest.raises(UsageError):
+                scan_conjecture(6, jobs=jobs)
+
+    def test_trees_stream_one_at_a_time(self, monkeypatch):
+        # a tree's core is taken before the next tree is generated, so the
+        # scan holds one pending tree, never a list of a size's trees
+        events = []
+
+        def generating(n):
+            for t in enumerate_free_trees(n):
+                events.append(("tree", t))
+                yield t
+
+        def stripping(t):
+            events.append(("core", t))
+            return pendant_core(t)
+
+        monkeypatch.setattr(treescan, "enumerate_free_trees", generating)
+        monkeypatch.setattr(treescan, "pendant_core", stripping)
+        report = scan_conjecture(9)
+        trees = [t for n in range(1, 10) for t in enumerate_free_trees(n)]
+        assert len(trees) == sum(r.tree_count for r in report.rows) == 95
+        assert events == [(kind, t) for t in trees for kind in ("tree", "core")]
 
     def test_table_output(self):
         text = scan_conjecture(3).table()

@@ -85,7 +85,7 @@ def _cmd_search(ns) -> int:
     print("%s nodes=%d" % (outcome.status.upper(), outcome.nodes_explored))
     if outcome.status == FOUND and not ns.all:
         sys.stdout.write(fileio.write_labels(outcome.labeling))
-    if ns.all and outcome.all_solutions:
+    if ns.all:
         print("solutions=%d" % len(outcome.all_solutions))
         for sol in outcome.all_solutions:
             print(" ".join(str(x) for x in sol))

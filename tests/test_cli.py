@@ -152,6 +152,13 @@ class TestSearch:
         assert code == EXIT_OK
         assert "solutions=" in out
 
+    def test_find_all_exhausted_reports_zero(self, capsys, tmp_path):
+        g = tmp_path / "c6.el"
+        g.write_text(write_edge_list(cycle_graph(6)))
+        code, out, _ = run(capsys, "search", "--graph", str(g), "--all")
+        assert code == EXIT_EXHAUSTED
+        assert "solutions=0" in out.splitlines()
+
 
 class TestScanTrees:
     def test_small_scan(self, capsys):

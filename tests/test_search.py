@@ -9,6 +9,7 @@ from nplabel.search import (
     EXHAUSTED,
     FOUND,
     INCONCLUSIVE,
+    ORDER_DEGREE,
     ORDER_NATURAL,
     SearchConfig,
     SearchOutcome,
@@ -20,6 +21,23 @@ from nplabel.search import (
 
 def star(n):
     return Graph(n, [(1, v) for v in range(2, n + 1)])
+
+
+def random_connected():
+    """30 seeded random connected graphs on 2..6 vertices."""
+    rng = random.Random(7)
+    graphs = []
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        t = random_tree(n, rng.randint(0, 10**6))
+        extra = [
+            (u, v)
+            for u in range(1, n + 1)
+            for v in range(u + 1, n + 1)
+            if (u, v) not in t.edges and rng.random() < 0.3
+        ]
+        graphs.append(Graph(n, list(t.edges) + extra))
+    return graphs
 
 
 class TestBruteForceOracle:
@@ -68,7 +86,8 @@ class TestFindLabeling:
         out = find_labeling(cycle_graph(12), SearchConfig(node_budget=5))
         assert out.status == INCONCLUSIVE
         assert out.labeling is None
-        assert out.nodes_explored >= 5
+        # the budget plus the one over-budget probe
+        assert out.nodes_explored == 6
 
     def test_unlimited_budget(self):
         out = find_labeling(cycle_graph(6), SearchConfig(node_budget=None))
@@ -81,10 +100,23 @@ class TestFindLabeling:
             assert a.status == b.status
 
     def test_find_all_matches_oracle(self):
-        for g in (path_graph(4), cycle_graph(5), star(4)):
-            ours = find_labeling(g, SearchConfig(find_all=True))
+        graphs = [path_graph(4), cycle_graph(5), star(4)] + random_connected()
+        for g in graphs:
             oracle = brute_force_oracle(g, find_all=True)
-            assert sorted(ours.all_solutions) == sorted(oracle.all_solutions)
+            for order in (ORDER_DEGREE, ORDER_NATURAL):
+                ours = find_labeling(g, SearchConfig(order=order, find_all=True))
+                assert ours.status == oracle.status
+                assert sorted(ours.all_solutions) == sorted(oracle.all_solutions)
+
+    def test_partial_enumeration_under_budget(self):
+        g = random_tree(8, 1)
+        out = find_labeling(g, SearchConfig(node_budget=1000, find_all=True))
+        assert out.status == INCONCLUSIVE
+        assert out.nodes_explored == 1001
+        assert len(out.all_solutions) == 365
+        assert out.labeling == out.all_solutions[0]
+        for sol in out.all_solutions:
+            assert verify(g, sol).ok
 
     def test_solutions_verified(self):
         out = find_labeling(path_graph(5), SearchConfig(find_all=True))
@@ -93,9 +125,10 @@ class TestFindLabeling:
 
 
 class TestKernelGolden:
-    def test_golden_counts(self):
-        # find_all status, nodes explored and solution count, pinned so that
-        # a change to the search order or pruning shows up
+    # find_all status, nodes explored and solution count, pinned so that a
+    # change to the search order or pruning shows up
+    @staticmethod
+    def golden(order):
         graphs = [
             cycle_graph(5),
             cycle_graph(6),
@@ -106,15 +139,28 @@ class TestKernelGolden:
         ]
         got = []
         for g in graphs:
-            out = find_labeling(g, SearchConfig(find_all=True))
+            out = find_labeling(g, SearchConfig(order=order, find_all=True))
             got.append((out.status, out.nodes_explored, len(out.all_solutions)))
-        assert got == [
+        return got
+
+    def test_golden_counts(self):
+        assert self.golden(ORDER_DEGREE) == [
             (FOUND, 277, 60),
             (EXHAUSTED, 916, 0),
             (FOUND, 1008, 136),
             (FOUND, 325, 120),
             (FOUND, 64084, 19512),
             (FOUND, 47020, 8712),
+        ]
+
+    def test_golden_counts_natural_order(self):
+        assert self.golden(ORDER_NATURAL) == [
+            (FOUND, 277, 60),
+            (EXHAUSTED, 916, 0),
+            (FOUND, 1008, 136),
+            (FOUND, 325, 120),
+            (FOUND, 63424, 19512),
+            (FOUND, 47164, 8712),
         ]
 
     def test_kernel_name_reports(self):
@@ -132,17 +178,7 @@ class TestOracleEquivalence:
             assert find_labeling(g).status == brute_force_oracle(g).status
 
     def test_random_connected(self):
-        rng = random.Random(7)
-        for _ in range(30):
-            n = rng.randint(2, 6)
-            t = random_tree(n, rng.randint(0, 10**6))
-            extra = [
-                (u, v)
-                for u in range(1, n + 1)
-                for v in range(u + 1, n + 1)
-                if (u, v) not in t.edges and rng.random() < 0.3
-            ]
-            g = Graph(n, list(t.edges) + extra)
+        for g in random_connected():
             assert find_labeling(g).status == brute_force_oracle(g).status
 
 

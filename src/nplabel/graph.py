@@ -29,21 +29,23 @@ class Graph:
             raise UsageError("vertex count must be positive, got %d" % n)
         normalized = set()
         for u, v in edges:
-            if u == v:
-                raise UsageError("self-loop at vertex %d" % u)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise UsageError("edge (%d,%d) out of range 1..%d" % (u, v, n))
             e = (u, v) if u < v else (v, u)
-            if e in normalized:
+            if e in normalized or not 1 <= e[0] < e[1] <= n:
+                if u == v:
+                    raise UsageError("self-loop at vertex %d" % u)
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise UsageError("edge (%d,%d) out of range 1..%d" % (u, v, n))
                 raise UsageError("duplicate edge (%d,%d)" % e)
             normalized.add(e)
+        # in lexicographic edge order each vertex meets its neighbours in
+        # ascending order, so no list needs sorting
         adj = [[] for _ in range(n + 1)]
-        for u, v in normalized:
+        for u, v in sorted(normalized):
             adj[u].append(v)
             adj[v].append(u)
         self.n = n
         self.edges = frozenset(normalized)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
+        self.adj = tuple(map(tuple, adj))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -109,17 +111,16 @@ def verify(g: Graph, labels: Labeling) -> VerificationReport:
     vertices are never checked.
     """
     check_bijection(g, labels)
+    label = (0, *labels).__getitem__
     violations = []
     checked = 0
-    for v in range(1, g.n + 1):
-        nbrs = g.adj[v]
+    for v, nbrs in enumerate(g.adj):
         if len(nbrs) < 2:
             continue
         checked += 1
-        vals = sorted(labels[u - 1] for u in nbrs)
-        d = reduce(math.gcd, vals)
+        d = math.gcd(*map(label, nbrs))
         if d != 1:
-            violations.append(Violation(v, tuple(vals), d))
+            violations.append(Violation(v, tuple(sorted(map(label, nbrs))), d))
     return VerificationReport(
         ok=not violations, violations=tuple(violations), checked_count=checked
     )

@@ -32,54 +32,70 @@ MAX_ENUM_N = 18
 
 def ahu_canonical(t: Graph) -> str:
     """Canonical string of a free tree: AHU encoding rooted at the center
-    (both centers tried for bicentral trees, lexicographic minimum taken)."""
+    (for bicentral trees, the center whose string is least)."""
     if not is_tree(t):
         raise UsageError("ahu_canonical requires a tree")
-    return _canonical_rooting(t)[0]
+    return _canonical_rooting(t.adj, [len(a) for a in t.adj])[0]
 
 
 def tree_centers(t: Graph) -> List[int]:
     """The 1 or 2 centers of a tree, by iterative leaf stripping."""
-    n = t.n
-    if n == 1:
-        return [1]
-    degree = [len(t.adj[v]) if v else 0 for v in range(n + 1)]
-    layer = [v for v in range(1, n + 1) if degree[v] == 1]
-    removed = len(layer)
-    while removed < n:
+    return _canonical_rooting(t.adj, [len(a) for a in t.adj])[1]
+
+
+def _canonical_rooting(adj, degree):
+    """AHU string, sorted centers and canonical BFS order of the tree on
+    the vertices of nonzero ``degree`` (vertex 1 alone if there are none),
+    whose edges are those of ``adj`` between such vertices.
+
+    Leaves are stripped layer by layer until the center or the two centers
+    are left; each stripped vertex's string is built from its children's,
+    which are already stripped.  Sorting the children as (string, vertex)
+    pairs also fixes their order in the BFS.  The tree is rooted at the
+    lower center unless the other center's string, worked out from the two
+    centers' children, is strictly smaller."""
+    n = len(adj) - 1
+    degree = list(degree)
+    code: List[Optional[str]] = [None] * (n + 1)
+    kids: List[List[int]] = [[]] * (n + 1)
+
+    def encode(v, above=()):
+        pairs = [(code[u], u) for u in adj[v] if code[u] is not None]
+        pairs.extend(above)
+        pairs.sort()
+        return "(" + "".join([c for c, _ in pairs]) + ")", [u for _, u in pairs]
+
+    layer = [v for v in range(1, n + 1) if degree[v] == 1] or [1]
+    left = n + 1 - degree.count(0)  # degree[0] is 0
+    while left > 2:
+        left -= len(layer)
         nxt = []
         for v in layer:
-            for u in t.adj[v]:
-                degree[u] -= 1
-                if degree[u] == 1:
-                    nxt.append(u)
-        removed += len(nxt)
+            code[v], kids[v] = encode(v)
+            for u in adj[v]:
+                if code[u] is None and degree[u]:  # the parent
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        nxt.append(u)
         layer = nxt
-    return sorted(layer)
-
-
-def _canonical_rooting(t: Graph):
-    """``_rooted_encoding`` at the center whose AHU string is least."""
-    return min(_rooted_encoding(t, c) for c in tree_centers(t))
-
-
-def _rooted_encoding(t: Graph, root: int):
-    """AHU parenthesis string of the tree rooted at ``root``, followed by the
-    root, every vertex's subtree string and the parent array."""
-    # iterative post-order to stay clear of the recursion limit
-    parent = [0] * (t.n + 1)
+    centers = sorted(layer)
+    root = centers[0]
+    if len(centers) == 1:
+        top, kids[root] = encode(root)
+    else:
+        other = centers[1]
+        (low, low_kids), (high, high_kids) = encode(root), encode(other)
+        top, kids[root] = encode(root, [(high, other)])
+        flipped, flipped_kids = encode(other, [(low, root)])
+        if flipped < top:
+            kids[root], kids[other] = low_kids, flipped_kids
+            root, top = other, flipped
+        else:
+            kids[other] = high_kids
     order = [root]
-    parent[root] = -1
     for v in order:
-        for u in t.adj[v]:
-            if parent[u] == 0 and u != root:
-                parent[u] = v
-                order.append(u)
-    code: Dict[int, str] = {}
-    for v in reversed(order):
-        kids = sorted(code[u] for u in t.adj[v] if parent[u] == v)
-        code[v] = "(" + "".join(kids) + ")"
-    return code[root], root, code, parent
+        order.extend(kids[v])
+    return top, centers, order
 
 
 # -- primary generator: Wright-Richmond-Odlyzko-McKay -------------------------
@@ -234,26 +250,22 @@ def pendant_core(t: Graph) -> PendantCore:
     Graph.
 
     Stripping leaves the neighbour with degree >= 2, so it never makes a new
-    leaf and one pass over the leaves suffices.  By the pendant lemma
+    leaf and one pass over the leaves suffices.  A stripped leaf's degree
+    is set to 0, so the core is encoded on ``t`` itself; its Graph is built
+    only when ``PendantCore.graph`` asks for it.  By the pendant lemma
     (``labelers.extend_pendant``) any labeling of the core extends to the
     tree: the stripped leaves take the labels above the core's, last
     removed first."""
-    n = t.n
-    degree = [len(a) for a in t.adj]
+    adj = t.adj
+    degree = [len(a) for a in adj]
     stripped = []
-    for w in range(1, n + 1):
-        if degree[w] == 1 and degree[t.adj[w][0]] >= 3:
-            degree[t.adj[w][0]] -= 1
+    for w in range(1, t.n + 1):
+        if degree[w] == 1 and degree[adj[w][0]] >= 3:
+            degree[adj[w][0]] -= 1
+            degree[w] = 0
             stripped.append(w)
-    gone = set(stripped)
-    kept = [v for v in range(1, n + 1) if v not in gone]
-    core = _induced(t, kept) if stripped else t
-    code, root, codes, parent = _canonical_rooting(core)
-    order = [root]
-    for v in order:
-        order.extend(sorted((u for u in core.adj[v] if parent[u] == v),
-                            key=codes.__getitem__))
-    return PendantCore(t, code, tuple(kept[v - 1] for v in order), tuple(stripped))
+    code, _, order = _canonical_rooting(adj, degree)
+    return PendantCore(t, code, tuple(order), tuple(stripped))
 
 
 def _tree_labeling(core: PendantCore, core_labels) -> List[int]:

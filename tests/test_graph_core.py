@@ -1,4 +1,6 @@
 import math
+import random
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -11,6 +13,8 @@ from nplabel.graph import (
     is_connected,
     is_tree,
     neighborhood,
+    VerificationReport,
+    Violation,
     verify,
     with_pendant,
 )
@@ -26,26 +30,56 @@ def C(n):
 
 class TestGraph:
     def test_rejects_self_loop(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"^self-loop at vertex 1$"):
             Graph(3, [(1, 1)])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"^edge \(1,4\) out of range 1\.\.3$"):
             Graph(3, [(1, 4)])
 
     def test_rejects_duplicate_edge(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"^duplicate edge \(1,2\)$"):
             Graph(3, [(1, 2), (2, 1)])
 
     def test_rejects_nonpositive_n(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"^vertex count must be positive, got 0$"):
             Graph(0, [])
+
+    @pytest.mark.parametrize("n, edges, message", [
+        # the first faulty edge is reported, and a self-loop outranks a
+        # range error on the same edge
+        (3, [(1, 2), (2, 1), (3, 3)], "duplicate edge (1,2)"),
+        (3, [(3, 3), (1, 2), (2, 1)], "self-loop at vertex 3"),
+        (3, [(5, 5)], "self-loop at vertex 5"),
+        (3, [(0, 0)], "self-loop at vertex 0"),
+        (3, [(2, 1), (4, 1), (1, 2)], "edge (4,1) out of range 1..3"),
+        (3, [(0, 2)], "edge (0,2) out of range 1..3"),
+        (4, [(3, 2), (1, 4), (2, 3)], "duplicate edge (2,3)"),
+    ])
+    def test_first_fault_reported(self, n, edges, message):
+        with pytest.raises(UsageError) as info:
+            Graph(n, edges)
+        assert str(info.value) == message
 
     def test_adjacency_sorted(self):
         g = Graph(4, [(2, 4), (2, 3), (1, 2)])
         assert g.adj[2] == (1, 3, 4)
         assert g.degree(2) == 3
         assert g.degree(1) == 1
+
+    @given(st.integers(1, 12), st.data())
+    def test_adjacency_is_sorted_neighbour_set(self, n, data):
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                           if pairs else st.just([]))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(chosen),
+                                   max_size=len(chosen)))
+        g = Graph(n, [(v, u) if flip else (u, v)
+                      for (u, v), flip in zip(chosen, flips)])
+        assert g.edges == frozenset(chosen)
+        for v in range(n + 1):
+            nbrs = {b for a, b in chosen if a == v} | {a for a, b in chosen if b == v}
+            assert g.adj[v] == tuple(sorted(nbrs))
 
     def test_equality_and_hash(self):
         a = Graph(3, [(1, 2), (2, 3)])
@@ -152,6 +186,62 @@ class TestVerify:
     def test_length_mismatch_rejected(self):
         with pytest.raises(UsageError):
             verify(P(3), [1, 2])
+
+    def test_report_of_several_violations(self):
+        # C8 with chords 2-6 and 4-8
+        g = Graph(8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8),
+                      (1, 8), (2, 6), (4, 8)])
+        report = verify(g, [2, 1, 4, 8, 7, 6, 5, 3])
+        assert not report.ok
+        assert report.checked_count == 8
+        # in vertex order, neighbour labels ascending (vertices 5 and 7
+        # meet theirs as 8, 6 and 6, 3)
+        assert report.violations == (
+            Violation(2, (2, 4, 6), 2),
+            Violation(5, (6, 8), 2),
+            Violation(7, (3, 6), 3),
+        )
+
+    def test_matches_reference(self):
+        def reference(g, labels):
+            if len(labels) != g.n:
+                raise UsageError("labeling length %d does not match vertex count %d"
+                                 % (len(labels), g.n))
+            if sorted(labels) != list(range(1, g.n + 1)):
+                raise LabelingInvalid("labels are not a bijection onto 1..%d" % g.n)
+            violations, checked = [], 0
+            for v in range(1, g.n + 1):
+                if len(g.adj[v]) < 2:
+                    continue
+                checked += 1
+                vals = sorted(labels[u - 1] for u in g.adj[v])
+                d = reduce(math.gcd, vals)
+                if d != 1:
+                    violations.append(Violation(v, tuple(vals), d))
+            return VerificationReport(not violations, tuple(violations), checked)
+
+        def outcome(fn, g, labels):
+            try:
+                return fn(g, labels)
+            except (UsageError, LabelingInvalid) as e:
+                return type(e), str(e)
+
+        rng = random.Random(10)
+        seen = []
+        for _ in range(1500):
+            n = rng.randint(1, 14)
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+            g = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+            labels = rng.sample(range(1, n + 1), n)
+            if rng.random() < 0.1:
+                labels[rng.randrange(n)] = rng.randint(0, n + 1)
+            if rng.random() < 0.05:
+                labels = labels[:rng.randrange(n)]
+            got = outcome(verify, g, labels)
+            assert got == outcome(reference, g, labels)
+            seen.append(got.ok if isinstance(got, VerificationReport) else got[0])
+        # valid, violated and rejected labelings all occur
+        assert min(seen.count(k) for k in (True, False, UsageError, LabelingInvalid)) > 20
 
 
 class TestStructurePredicates:

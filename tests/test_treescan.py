@@ -40,6 +40,62 @@ def permuted(g, perm):
     return Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
 
 
+def reference_rooted_encoding(t, root):
+    """Slow reference: AHU string of t rooted at ``root``, every vertex's
+    subtree string and the parent array, by BFS and a post-order pass."""
+    parent = [0] * (t.n + 1)
+    order = [root]
+    parent[root] = -1
+    for v in order:
+        for u in t.adj[v]:
+            if parent[u] == 0 and u != root:
+                parent[u] = v
+                order.append(u)
+    code = {}
+    for v in reversed(order):
+        code[v] = "(" + "".join(sorted(code[u] for u in t.adj[v] if parent[u] == v)) + ")"
+    return code[root], root, code, parent
+
+
+def reference_centers(t):
+    """Vertices of least eccentricity, by a BFS from every vertex."""
+    def eccentricity(s):
+        dist = {s: 0}
+        queue = [s]
+        for v in queue:
+            for u in t.adj[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        return max(dist.values())
+
+    ecc = {v: eccentricity(v) for v in range(1, t.n + 1)}
+    return [v for v in ecc if ecc[v] == min(ecc.values())]
+
+
+def reference_core(t):
+    """Slow reference for ``pendant_core``: (code, vertices, stripped), with
+    the core built as a Graph and numbered by BFS from the least rooting,
+    children in order of their string, ties by vertex."""
+    degree = [len(a) for a in t.adj]
+    stripped = []
+    for w in range(1, t.n + 1):
+        if degree[w] == 1 and degree[t.adj[w][0]] >= 3:
+            degree[t.adj[w][0]] -= 1
+            stripped.append(w)
+    kept = [v for v in range(1, t.n + 1) if v not in stripped]
+    rank = {v: i for i, v in enumerate(kept, 1)}
+    core = Graph(len(kept), [(rank[u], rank[v]) for u, v in t.edges
+                             if u in rank and v in rank])
+    code, root, codes, parent = min(reference_rooted_encoding(core, c)
+                                    for c in reference_centers(core))
+    order = [root]
+    for v in order:
+        order.extend(sorted((u for u in core.adj[v] if parent[u] == v),
+                            key=codes.__getitem__))
+    return code, tuple(kept[v - 1] for v in order), tuple(stripped)
+
+
 class TestAhuCanonical:
     def test_relabelled_path_identical(self):
         p3 = Graph(3, [(1, 2), (2, 3)])
@@ -63,6 +119,64 @@ class TestAhuCanonical:
     def test_non_tree_rejected(self):
         with pytest.raises(UsageError):
             ahu_canonical(Graph(3, [(1, 2), (2, 3), (1, 3)]))
+
+    def test_golden_strings(self):
+        # the string is the scan's memo key and the seed of its restarts,
+        # so any drift changes the scan's node counts
+        assert ahu_canonical(Graph(1, [])) == "()"
+        assert ahu_canonical(Graph(4, [(1, 2), (2, 3), (3, 4)])) == "((())())"
+        # bicentral, centers 1 and 2: rooted at 1 the string is
+        # "((())()())", rooted at 2 "((()())())", which is smaller
+        spur = Graph(5, [(1, 2), (1, 4), (1, 5), (2, 3)])
+        assert tree_centers(spur) == [1, 2]
+        assert ahu_canonical(spur) == "((()())())"
+
+    def test_golden_core(self):
+        # the costliest core of scan_conjecture(14), met here through a
+        # relabelled copy with one leaf hung on a degree-2 vertex
+        code = "((((()))((())))(((()))(())))"
+        edges = {(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7), (4, 8),
+                 (5, 9), (6, 10), (7, 11), (8, 12), (9, 13), (10, 14)}
+        t = Graph(15, [(15 - u, 15 - v) for u, v in edges] + [(14, 15)])
+        core = pendant_core(t)
+        assert core.code == code and core.stripped == (15,)
+        assert core.graph.edges == edges
+        assert treescan._search_core(core.graph, code, SearchConfig()).nodes_explored == 602
+
+
+class TestEncoderAgainstReference:
+    """The one encoder (leaf stripping, degree-masked pendant cores, the
+    second center worked out from the first) against the slow reference."""
+
+    def sample(self):
+        for n in range(1, 13):
+            yield from enumerate_free_trees(n)
+        rng = random.Random(2026)
+        for n in range(1, 41):
+            for seed in range(8):
+                perm = list(range(1, n + 1))
+                rng.shuffle(perm)
+                yield permuted(random_tree(n, seed), perm)
+
+    def test_matches_reference(self):
+        second_wins = ties = 0
+        for t in self.sample():
+            centers = reference_centers(t)
+            codes = [reference_rooted_encoding(t, c)[0] for c in centers]
+            assert tree_centers(t) == centers
+            assert ahu_canonical(t) == min(codes)
+            if len(codes) == 2:
+                second_wins += codes[1] < codes[0]
+                ties += codes[1] == codes[0]
+            core = pendant_core(t)
+            assert (core.code, core.vertices, core.stripped) == reference_core(t)
+            graph = core.graph
+            assert core.code == ahu_canonical(graph)
+            again = pendant_core(graph)
+            assert again.stripped == ()
+            assert again.vertices == tuple(range(1, graph.n + 1))
+            assert again.code == core.code
+        assert second_wins and ties
 
 
 class TestTreeCenters:

@@ -29,6 +29,7 @@ from .labelers import (
     extend_pendant,
     label_banana,
     label_bivalent_free,
+    label_book,
     label_book5,
     label_caterpillar,
     label_firecracker,

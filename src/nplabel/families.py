@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import InvalidSpec, UsageError
-from .graph import Graph, contract
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -64,21 +64,23 @@ def snake_graph(k: int, n: int) -> Graph:
         raise InvalidSpec("snake requires k >= 3, got k=%d" % k)
     if n < 2:
         raise InvalidSpec("snake requires n >= 2, got n=%d" % n)
-    m = snake_vertex_count(k, n)
-    edges = [(i, i + 1) for i in range(1, m)]
-    edges += [(i * (k - 1) + 1, (i + 1) * (k - 1) + 1) for i in range(n - 1)]
-    return Graph(m, edges)
+    return Graph(snake_vertex_count(k, n), _snake_edges(k, n))
+
+
+def _snake_edges(k: int, n: int):
+    base = [snake_base_vertex(k, j) for j in range(1, n + 1)]
+    return [(i, i + 1) for i in range(1, base[-1])] + list(zip(base, base[1:]))
 
 
 def star_gon_graph(k: int, n: int) -> Graph:
-    """Star (k,n)-gon: the snake S_{k,n+1} with its two end base vertices
-    contracted (merged vertex gets id 1)."""
+    """Star (k,n)-gon: the snake S_{k,n+1} with its last vertex m merged into
+    vertex 1, built from the snake's edges; equal to contract(snake, 1, m)."""
     if k < 3:
         raise InvalidSpec("star-gon requires k >= 3, got k=%d" % k)
     if n < 3:
         raise InvalidSpec("star-gon requires n >= 3, got n=%d" % n)
-    g = snake_graph(k, n + 1)
-    return contract(g, 1, g.n)
+    m = snake_vertex_count(k, n + 1)
+    return Graph(m - 1, [(u, v) if v < m else (1, u) for u, v in _snake_edges(k, n + 1)])
 
 
 def book_graph(k: int, n: int) -> Graph:

@@ -25,11 +25,16 @@ class Graph:
     """
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
+        """Validate and store each edge in one pass, keeping a plain tuple
+        (u, v) with u < v as is; then sort each adjacency list once."""
         if n < 1:
             raise UsageError("vertex count must be positive, got %d" % n)
         normalized = set()
-        for u, v in edges:
-            e = (u, v) if u < v else (v, u)
+        adj = [[] for _ in range(n + 1)]
+        for e in edges:
+            u, v = e
+            if v < u or type(e) is not tuple:
+                e = (u, v) if u < v else (v, u)
             if e in normalized or not 1 <= e[0] < e[1] <= n:
                 if u == v:
                     raise UsageError("self-loop at vertex %d" % u)
@@ -37,12 +42,10 @@ class Graph:
                     raise UsageError("edge (%d,%d) out of range 1..%d" % (u, v, n))
                 raise UsageError("duplicate edge (%d,%d)" % e)
             normalized.add(e)
-        # in lexicographic edge order each vertex meets its neighbours in
-        # ascending order, so no list needs sorting
-        adj = [[] for _ in range(n + 1)]
-        for u, v in sorted(normalized):
             adj[u].append(v)
             adj[v].append(u)
+        for nbrs in adj:
+            nbrs.sort()
         self.n = n
         self.edges = frozenset(normalized)
         self.adj = tuple(map(tuple, adj))

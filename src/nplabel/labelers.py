@@ -333,28 +333,29 @@ def label_firecracker(n: int, k: int) -> List[int]:
 
 
 def _walk_to_leaf(g: Graph, first: int, visited: set) -> List[int]:
-    """Walk from ``first`` to a leaf, always taking the lowest-numbered
-    unvisited neighbor; mutates ``visited``."""
+    """Walk from ``first``, a neighbor of a visited vertex, to a leaf, always
+    taking the lowest-numbered unvisited neighbor: the first one in the
+    sorted ``g.adj``.  Stops early if none is left; mutates ``visited``."""
     path = []
     cur = first
     while True:
         path.append(cur)
         visited.add(cur)
-        if g.degree(cur) == 1:
+        for cur in g.adj[cur]:
+            if cur not in visited:
+                break
+        else:
             return path
-        nxt = [u for u in g.adj[cur] if u not in visited]
-        if not nxt:
-            return path
-        cur = min(nxt)
 
 
-def _bfs_dist(g: Graph, src: int) -> dict:
-    dist = {src: 0}
+def _bfs_dist(g: Graph, src: int) -> List[int]:
+    dist = [-1] * (g.n + 1)
+    dist[src] = 0
     queue = deque([src])
     while queue:
         v = queue.popleft()
         for u in g.adj[v]:
-            if u not in dist:
+            if dist[u] < 0:
                 dist[u] = dist[v] + 1
                 queue.append(u)
     return dist
@@ -363,34 +364,30 @@ def _bfs_dist(g: Graph, src: int) -> dict:
 def _initial_leaf_path(t: Graph) -> List[int]:
     """Pick the first leaf-to-leaf path: through the lowest non-leaf when the
     tree has no degree-2 vertices, else through all of them (or fail)."""
-    deg2 = [v for v in range(1, t.n + 1) if t.degree(v) == 2]
+    adj = t.adj
+    deg2 = [v for v in range(1, t.n + 1) if len(adj[v]) == 2]
     if not deg2:
-        v1 = min(v for v in range(1, t.n + 1) if t.degree(v) >= 2)
+        v1 = min(v for v in range(1, t.n + 1) if len(adj[v]) >= 2)
         visited = {v1}
-        nbrs = sorted(t.adj[v1])
-        side_a = _walk_to_leaf(t, nbrs[0], visited)
-        nxt = min(u for u in t.adj[v1] if u not in visited)
-        side_b = _walk_to_leaf(t, nxt, visited)
+        # in a tree the walk from one neighbour never reaches another
+        side_a = _walk_to_leaf(t, adj[v1][0], visited)
+        side_b = _walk_to_leaf(t, adj[v1][1], visited)
         return list(reversed(side_a)) + [v1] + side_b
-    d0 = deg2[0]
-    dist = _bfs_dist(t, d0)
+    dist = _bfs_dist(t, deg2[0])
     d1 = min(deg2, key=lambda v: (-dist[v], v))
     dist1 = _bfs_dist(t, d1)
     d2 = min(deg2, key=lambda v: (-dist1[v], v))
     core = [d2]  # walk back to d1: one neighbour per step is nearer to it
     while core[-1] != d1:
-        core.append(next(u for u in t.adj[core[-1]] if dist1[u] < dist1[core[-1]]))
+        core.append(next(u for u in adj[core[-1]] if dist1[u] < dist1[core[-1]]))
     core.reverse()
-    core_set = set(core)
-    if any(d not in core_set for d in deg2):
+    visited = set(core)
+    if any(d not in visited for d in deg2):
         raise UnsupportedStructure(
             "degree-2 vertices do not fit on a single leaf-to-leaf path"
         )
-    visited = set(core)
-    ext_a_nbrs = sorted(u for u in t.adj[d1] if u not in visited)
-    side_a = _walk_to_leaf(t, ext_a_nbrs[0], visited)
-    ext_b_nbrs = sorted(u for u in t.adj[d2] if u not in visited)
-    side_b = _walk_to_leaf(t, ext_b_nbrs[0], visited)
+    side_a = _walk_to_leaf(t, next(u for u in adj[d1] if u not in visited), visited)
+    side_b = _walk_to_leaf(t, next(u for u in adj[d2] if u not in visited), visited)
     return list(reversed(side_a)) + core + side_b
 
 
@@ -407,6 +404,7 @@ def label_bivalent_free(t: Graph) -> List[int]:
         raise UnsupportedStructure("input is not a tree")
     if t.n <= 2:
         return list(range(1, t.n + 1))
+    adj = t.adj
     labels = [0] * t.n
     p1 = _initial_leaf_path(t)
     for pos, v in enumerate(label_path(len(p1))):
@@ -418,8 +416,8 @@ def label_bivalent_free(t: Graph) -> List[int]:
 
     def enqueue_neighbors(path):
         for x in path[1:-1]:
-            for u in sorted(t.adj[x]):
-                if u not in visited and u not in enqueued and t.degree(u) > 1:
+            for u in adj[x]:
+                if u not in visited and u not in enqueued and len(adj[u]) > 1:
                     queue.append(u)
                     enqueued.add(u)
 
@@ -428,15 +426,14 @@ def label_bivalent_free(t: Graph) -> List[int]:
         v = queue.popleft()
         if v in visited:
             continue
-        free = sorted(u for u in t.adj[v] if u not in visited)
+        free = [u for u in adj[v] if u not in visited]
         if len(free) < 2:
             raise UnsupportedStructure(
                 "vertex %d cannot anchor a leaf-to-leaf path" % v
             )
         visited.add(v)
         side_a = _walk_to_leaf(t, free[0], visited)
-        nxt = min(u for u in t.adj[v] if u not in visited)
-        side_b = _walk_to_leaf(t, nxt, visited)
+        side_b = _walk_to_leaf(t, free[1], visited)
         path = list(reversed(side_a)) + [v] + side_b
         for pos, lab in enumerate(shifted_path_labels(INTERIOR_MIN, total, len(path))):
             labels[path[pos] - 1] = lab
@@ -444,11 +441,9 @@ def label_bivalent_free(t: Graph) -> List[int]:
         enqueue_neighbors(path)
     leftover = [v for v in range(1, t.n + 1) if v not in visited]
     for v in leftover:
-        if t.degree(v) > 1:
+        if len(adj[v]) > 1:
             raise UnsupportedStructure("non-leaf vertex %d left uncovered" % v)
-    lab = total
-    for v in leftover:
-        lab += 1
+    for lab, v in enumerate(leftover, total + 1):
         labels[v - 1] = lab
     return labels
 
@@ -481,12 +476,20 @@ def label_full_binary(t: Graph) -> List[int]:
     return list(range(1, t.n + 1))
 
 
-def _label_book(k: int, n: int) -> List[int]:
-    if k != 5:
-        raise UnsupportedParameters(
-            "no constructive labeler for book with k=%d; use the 'search' command" % k
-        )
-    return label_book5(n)
+def label_book(k: int, n: int) -> List[int]:
+    """k-polygonal book labeling: label_book5 for k = 5, else the identity.
+
+    For k in {3, 4} the identity is valid: vertex 1 sees labels 2 and 3,
+    vertex 2 sees label 1, and every page vertex borders vertex 1 (label 1)
+    or both vertex 2 (label 2) and an odd-labelled page vertex.
+    """
+    if k == 5:
+        return label_book5(n)
+    if k not in (3, 4):
+        raise InvalidSpec("book requires k in {3,4,5}, got k=%d" % k)
+    if n < 1:
+        raise InvalidSpec("book requires n >= 1, got n=%d" % n)
+    return list(range(1, 3 + n * (k - 2)))
 
 
 # Closed-form labeler per family kind.  An entry takes the spec's arguments
@@ -499,7 +502,7 @@ _LABELERS = {
     "gear": lambda args, g: label_gear(*_ints(args, 1)),
     "snake": lambda args, g: label_snake(*_ints(args, 2)),
     "stargon": lambda args, g: label_star_gon(*_ints(args, 2)),
-    "book": lambda args, g: _label_book(*_ints(args, 2)),
+    "book": lambda args, g: label_book(*_ints(args, 2)),
     "book5": lambda args, g: label_book5(*_ints(args, 1)),
     "mobius": lambda args, g: label_mobius(*_ints(args, 1)),
     "caterpillar": lambda args, g: label_caterpillar(_ints(args, None)),

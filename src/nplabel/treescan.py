@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
-from itertools import count, product
+from itertools import count
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import UsageError
@@ -190,21 +190,6 @@ def enumerate_free_trees_by_extension(n: int) -> List[Graph]:
                     nxt[code] = h
         current = nxt
     return [current[c] for c in sorted(current)]
-
-
-def count_free_trees_by_pruefer(n: int) -> int:
-    """Exhaustive Pruefer-sequence sweep with AHU dedup; n <= 8 only (the
-    sequence space grows as n^(n-2))."""
-    if n < 1 or n > 8:
-        raise UsageError("Pruefer sweep limited to 1 <= n <= 8")
-    if n <= 2:
-        return 1
-    from .families import tree_from_pruefer
-
-    seen = set()
-    for seq in product(range(1, n + 1), repeat=n - 2):
-        seen.add(ahu_canonical(tree_from_pruefer(n, list(seq))))
-    return len(seen)
 
 
 def crosscheck_tree_counts(max_n: int) -> List[Tuple[int, int, int]]:

@@ -32,6 +32,7 @@ from nplabel.labelers import (
     extend_pendant,
     label_banana,
     label_bivalent_free,
+    label_book,
     label_book5,
     label_caterpillar,
     label_firecracker,
@@ -99,6 +100,8 @@ def test_criterion_1_constructive_sweep():
             count += check(star_gon_graph(k, n), label_star_gon(k, n))
     for n in range(1, 51):
         count += check(book_graph(5, n), label_book5(n))
+        for k in (3, 4):
+            count += check(book_graph(k, n), label_book(k, n))
     for n in range(3, 51):
         count += check(mobius_graph(n), label_mobius(n))
     rng = random.Random(11)

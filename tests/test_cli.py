@@ -74,10 +74,11 @@ class TestLabel:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    def test_non_pentagonal_book_suggests_search(self, capsys):
-        code, _, err = run(capsys, "label", "--family", "book:4,3")
-        assert code == EXIT_ERROR
-        assert "search" in err
+    def test_quadrilateral_book_is_labeled(self, capsys):
+        code, out, _ = run(capsys, "label", "--family", "book:4,3")
+        assert code == EXIT_OK
+        assert "VERIFIED" in out
+        assert parse_labels(out.replace("VERIFIED", "")) == list(range(1, 9))
 
     def test_no_labeler_for_cycles(self, capsys):
         code, _, err = run(capsys, "label", "--family", "cycle:5")

@@ -25,7 +25,7 @@ from nplabel.families import (
     star_gon_graph,
     tree_from_pruefer,
 )
-from nplabel.graph import is_tree
+from nplabel.graph import contract, is_tree
 
 
 class TestCounts:
@@ -93,6 +93,13 @@ class TestStructure:
         g = snake_graph(4, 3)
         assert snake_base_vertex(4, 2) == 4
         assert (1, 4) in g.edges and (4, 7) in g.edges
+
+    def test_star_gon_is_contracted_snake(self):
+        for k in range(3, 12):
+            for n in range(3, 40):
+                snake = snake_graph(k, n + 1)
+                expect = contract(snake, 1, snake_vertex_count(k, n + 1))
+                assert star_gon_graph(k, n) == expect
 
     def test_star_gon_merged_vertex(self):
         g = star_gon_graph(3, 3)

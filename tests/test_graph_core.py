@@ -1,5 +1,6 @@
 import math
 import random
+from collections import namedtuple
 from functools import reduce
 
 import pytest
@@ -80,6 +81,62 @@ class TestGraph:
         for v in range(n + 1):
             nbrs = {b for a, b in chosen if a == v} | {a for a, b in chosen if b == v}
             assert g.adj[v] == tuple(sorted(nbrs))
+
+    def test_edge_shapes_agree(self):
+        pairs = [(1, 2), (3, 2), (4, 1), (2, 4)]
+        Pair = namedtuple("Pair", "u v")
+        expect = Graph(4, pairs)
+        for edges in ([list(e) for e in pairs], (e for e in pairs),
+                      [Pair(*e) for e in pairs], [(v, u) for u, v in pairs]):
+            g = Graph(4, edges)
+            assert (g.edges, g.adj) == (expect.edges, expect.adj)
+            assert all(type(e) is tuple and e[0] < e[1] for e in g.edges)
+
+    def test_matches_two_pass_reference(self):
+        def reference(n, edges):
+            # the earlier constructor: validate into a set, then fill the
+            # adjacency from the sorted edge set
+            normalized = set()
+            for u, v in edges:
+                e = (u, v) if u < v else (v, u)
+                if u == v:
+                    raise UsageError("self-loop at vertex %d" % u)
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise UsageError("edge (%d,%d) out of range 1..%d" % (u, v, n))
+                if e in normalized:
+                    raise UsageError("duplicate edge (%d,%d)" % e)
+                normalized.add(e)
+            adj = [[] for _ in range(n + 1)]
+            for u, v in sorted(normalized):
+                adj[u].append(v)
+                adj[v].append(u)
+            return frozenset(normalized), tuple(map(tuple, adj))
+
+        rng = random.Random(20261018)
+        rejected = 0
+        for case in range(300):
+            n = rng.randint(1, 300)
+            edges = set()
+            for _ in range(rng.randint(0, 3 * n)):
+                u, v = rng.randint(1, n), rng.randint(1, n)
+                if u != v:
+                    edges.add((min(u, v), max(u, v)))
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+            rng.shuffle(edges)
+            if case % 5 == 0:  # inject a fault: a loop, a range error or a duplicate
+                fault = rng.choice([(1, 1), (n, n + 1), (0, 1)] + edges[:1])
+                edges.insert(rng.randint(0, len(edges)), fault[::rng.choice((1, -1))])
+            try:
+                expect = reference(n, edges)
+            except UsageError as exc:
+                rejected += 1
+                with pytest.raises(UsageError) as info:
+                    Graph(n, edges)
+                assert str(info.value) == str(exc)
+                continue
+            g = Graph(n, edges)
+            assert (g.edges, g.adj) == expect
+        assert rejected == 60
 
     def test_equality_and_hash(self):
         a = Graph(3, [(1, 2), (2, 3)])

@@ -30,6 +30,7 @@ from nplabel.labelers import (
     extend_pendant,
     label_banana,
     label_bivalent_free,
+    label_book,
     label_book5,
     label_caterpillar,
     label_firecracker,
@@ -197,6 +198,26 @@ class TestLabelBook5:
     def test_verifies(self):
         for n in range(1, 25):
             assert verify(book_graph(5, n), label_book5(n)).ok
+
+
+class TestLabelBook:
+    def test_small_pages_identity(self):
+        assert label_book(3, 2) == [1, 2, 3, 4]
+        assert label_book(4, 2) == [1, 2, 3, 4, 5, 6]
+
+    def test_verifies(self):
+        for k in (3, 4):
+            for n in range(1, 80):
+                assert verify(book_graph(k, n), label_book(k, n)).ok
+
+    def test_pentagonal_delegates(self):
+        assert label_book(5, 4) == label_book5(4)
+
+    def test_guards(self):
+        with pytest.raises(InvalidSpec):
+            label_book(6, 2)
+        with pytest.raises(InvalidSpec):
+            label_book(4, 0)
 
 
 class TestLabelMobius:

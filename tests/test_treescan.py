@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -21,7 +22,6 @@ from nplabel.search import (
 )
 from nplabel.treescan import (
     ahu_canonical,
-    count_free_trees_by_pruefer,
     crosscheck_tree_counts,
     enumerate_free_trees,
     enumerate_free_trees_by_extension,
@@ -33,6 +33,20 @@ from nplabel.treescan import (
 # counts of non-isomorphic trees on 1..16 vertices (OEIS A000055)
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159,
                     7741, 19320]
+
+
+def count_free_trees_by_pruefer(n):
+    """Oracle: the number of free trees on n vertices, by an exhaustive
+    Pruefer-sequence sweep with AHU dedup; n <= 8 only (the sequence space
+    grows as n^(n-2))."""
+    if n < 1 or n > 8:
+        raise UsageError("Pruefer sweep limited to 1 <= n <= 8")
+    if n <= 2:
+        return 1
+    seen = set()
+    for seq in product(range(1, n + 1), repeat=n - 2):
+        seen.add(ahu_canonical(tree_from_pruefer(n, list(seq))))
+    return len(seen)
 
 
 def permuted(g, perm):

@@ -453,8 +453,13 @@ def label_full_binary(t: Graph) -> List[int]:
 
     Trees with a single-child node (complete but not full) and trees whose
     sibling ids are not consecutive are delegated to label_bivalent_free.
+
+    With n - 1 edges, the parent scan proves the graph is a tree: every
+    v >= 2 has exactly one smaller neighbour, so each vertex reaches 1.
+    Only when the scan fails is ``is_tree`` run, to tell a non-tree from a
+    tree that is not level-order numbered.
     """
-    if not is_tree(t):
+    if len(t.edges) != t.n - 1:
         raise UnsupportedStructure("input is not a tree")
     if t.n == 1:
         return [1]
@@ -462,6 +467,8 @@ def label_full_binary(t: Graph) -> List[int]:
     for v in range(2, t.n + 1):
         parents = [u for u in t.adj[v] if u < v]
         if len(parents) != 1:
+            if not is_tree(t):
+                raise UnsupportedStructure("input is not a tree")
             raise UnsupportedStructure(
                 "vertex %d has %d smaller neighbors; not level-order numbered"
                 % (v, len(parents))

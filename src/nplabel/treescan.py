@@ -145,7 +145,13 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
     free tree when the root's first subtree (the left half) is not above
     the rest of the tree in (height, size, sequence).  An out-of-order
     sequence skips straight to the next rooted sequence that changes the
-    left half, with the tail reset to the lowest path allowed."""
+    left half, with the tail reset to the lowest path allowed.
+
+    Vertex i+1 of each tree is position i of its level sequence, so the
+    vertices are numbered in preorder from the root, vertex 1: each vertex
+    v >= 2 has exactly one smaller neighbour, its parent, which is
+    ``adj[v][0]``.  The scan's shape memo (``_strip_leaves``) relies on
+    this."""
     if not (1 <= n <= MAX_ENUM_N):
         raise UsageError("tree enumeration supports 1 <= n <= %d" % MAX_ENUM_N)
     if n == 1:
@@ -228,37 +234,65 @@ def _induced(t: Graph, vertices) -> Graph:
                              if u in rank and v in rank])
 
 
-def pendant_core(t: Graph) -> PendantCore:
-    """Strip leaves whose neighbour has degree >= 3 until none is left, and
-    number what remains by BFS from its canonical AHU root, children in
-    order of their AHU code, so that isomorphic cores are the identical
-    Graph.
+def _strip_leaves(t: Graph):
+    """(degree, stripped, kept, shape): strip each leaf whose neighbour has
+    degree >= 3, in vertex order.
 
     Stripping leaves the neighbour with degree >= 2, so it never makes a new
-    leaf and one pass over the leaves suffices.  A stripped leaf's degree
-    is set to 0, so the core is encoded on ``t`` itself; its Graph is built
-    only when ``PendantCore.graph`` asks for it.  By the pendant lemma
-    (``labelers.extend_pendant``) any labeling of the core extends to the
-    tree: the stripped leaves take the labels above the core's, last
-    removed first."""
+    leaf and one pass over the leaves suffices.  ``degree`` is the core's,
+    with 0 for a stripped leaf; ``stripped`` lists the leaves removed, in
+    removal order, and ``kept`` the other vertices, in vertex order.
+    ``shape`` is the tuple of the kept vertices' levels below vertex 1,
+    taking ``adj[v][0]`` as the parent of v >= 2.  On a tree numbered in
+    preorder, as ``enumerate_free_trees`` numbers it, that is the parent
+    and ``shape`` is the level sequence of the rooted core: trees with the
+    same shape have the same rooted core, kept vertex i of one being kept
+    vertex i of the other.  (A stripped leaf is nobody's parent unless it
+    is vertex 1, and then its one child roots the core.)  On any other
+    numbering ``shape`` means nothing."""
     adj = t.adj
     degree = [len(a) for a in adj]
-    stripped = []
+    level = [0] * (t.n + 1)
+    level[1] = 1
+    stripped, kept, shape = [], [], []
     for w in range(1, t.n + 1):
-        if degree[w] == 1 and degree[adj[w][0]] >= 3:
-            degree[adj[w][0]] -= 1
+        a = adj[w]
+        if degree[w] == 1 and degree[a[0]] >= 3:
+            degree[a[0]] -= 1
             degree[w] = 0
             stripped.append(w)
-    code, _, order = _canonical_rooting(adj, degree)
+        else:
+            if w > 1:
+                level[w] = level[a[0]] + 1
+            kept.append(w)
+            shape.append(level[w])
+    return degree, stripped, kept, tuple(shape)
+
+
+def pendant_core(t: Graph) -> PendantCore:
+    """Strip leaves whose neighbour has degree >= 3 until none is left
+    (``_strip_leaves``), and number what remains by BFS from its canonical
+    AHU root, children in order of their AHU code, so that isomorphic cores
+    are the identical Graph.
+
+    The core is encoded on ``t`` itself, with the stripped leaves' degree
+    set to 0; its Graph is built only when ``PendantCore.graph`` asks for
+    it.  By the pendant lemma (``labelers.extend_pendant``) any labeling of
+    the core extends to the tree: the stripped leaves take the labels above
+    the core's, last removed first."""
+    degree, stripped, _, _ = _strip_leaves(t)
+    code, _, order = _canonical_rooting(t.adj, degree)
     return PendantCore(t, code, tuple(order), tuple(stripped))
 
 
-def _tree_labeling(core: PendantCore, core_labels) -> List[int]:
-    """Extend a labeling of the core to the whole tree."""
-    labels = [0] * (len(core.vertices) + len(core.stripped))
-    for v, label in zip(core.vertices, core_labels):
+def _tree_labeling(vertices, stripped, core_labels) -> List[int]:
+    """Extend a labeling of the core to the whole tree: core vertex i+1,
+    labelled ``core_labels[i]``, is tree vertex ``vertices[i]``, and the
+    ``stripped`` leaves take the labels above, last removed first."""
+    labels = [0] * (len(vertices) + len(stripped))
+    for v, label in zip(vertices, core_labels):
         labels[v - 1] = label
-    for label, w in enumerate(reversed(core.stripped), len(core.vertices) + 1):
+    for label, w in enumerate(reversed(stripped), len(vertices) + 1):
         labels[w - 1] = label
     return labels
 
@@ -360,7 +394,16 @@ def scan_conjecture(
     time, so memory does not grow with the number of trees.  Each distinct
     pendant core (``pendant_core``) is searched once per call by
     ``_search_core`` (randomized restarts, then a complete search), and its
-    labeling is extended to every tree that has it and verified.  A tree
+    labeling is extended to every tree that has it and verified.
+
+    Two memos, both spanning sizes, keep the per-tree work small.  The
+    first is keyed by the core's rooted shape (``_strip_leaves``), which
+    the strip loop yields at no extra cost since the trees come numbered
+    in preorder; it holds the outcome and the core labels in kept-vertex
+    order, so a tree whose shape was met before takes its labels straight
+    from it.  Only a new shape is encoded by ``pendant_core``, whose AHU
+    code keys the second memo, that of the searches: isomorphic cores
+    rooted differently share one search.  A tree
     whose core search is exhausted gets the full search of the tree
     itself, so Exhausted always comes from a full-tree search; so does a
     tree that had leaves stripped and whose core search is inconclusive.
@@ -373,9 +416,12 @@ def scan_conjecture(
         raise UsageError("max_n must be within 1..%d" % MAX_ENUM_N)
     if jobs != 1:
         raise UsageError("the scan is serial; jobs must be 1, got %r" % (jobs,))
-    # core code -> outcome of its search.  It spans sizes, since a core met
-    # at one size recurs among larger trees; it is local to one call.
+    # Both memos span sizes, since a core met at one size recurs among
+    # larger trees; they are local to one call.
+    # core code -> outcome of its search
     memo: Dict[str, SearchOutcome] = {}
+    # core shape -> (outcome, core labels in kept-vertex order if Found)
+    shapes: Dict[Tuple[int, ...], Tuple[SearchOutcome, Optional[Tuple[int, ...]]]] = {}
     rows = []
     for n in range(1, max_n + 1):
         start = time.perf_counter()
@@ -383,15 +429,24 @@ def scan_conjecture(
         failed, inconclusive = [], []
         for t in enumerate_free_trees(n):
             tree_count += 1
-            c = pendant_core(t)
-            outcome = memo.get(c.code)
-            if outcome is None:
-                outcome = memo[c.code] = _search_core(c.graph, c.code, cfg)
-                nodes += outcome.nodes_explored
-                core_searches += 1
+            _, stripped, kept, shape = _strip_leaves(t)
+            entry = shapes.get(shape)
+            if entry is None:
+                c = pendant_core(t)
+                outcome = memo.get(c.code)
+                if outcome is None:
+                    outcome = memo[c.code] = _search_core(c.graph, c.code, cfg)
+                    nodes += outcome.nodes_explored
+                    core_searches += 1
+                core_labels = None
+                if outcome.status == FOUND:
+                    label_of = dict(zip(c.vertices, outcome.labeling))
+                    core_labels = tuple([label_of[v] for v in kept])
+                entry = shapes[shape] = (outcome, core_labels)
+            outcome, core_labels = entry
             if outcome.status == FOUND:
-                labels = _tree_labeling(c, outcome.labeling)
-            elif outcome.status == EXHAUSTED or c.stripped:
+                labels = _tree_labeling(kept, stripped, core_labels)
+            elif outcome.status == EXHAUSTED or stripped:
                 outcome = find_labeling(t, cfg)
                 nodes += outcome.nodes_explored
                 labels = outcome.labeling

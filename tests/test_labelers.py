@@ -22,7 +22,8 @@ from nplabel.families import (
     spider_graph,
     star_gon_graph,
 )
-from nplabel.graph import Graph, verify
+from nplabel import graph as graph_module
+from nplabel.graph import Graph, is_connected, verify
 from nplabel.labelers import (
     HEAD_MIN,
     INTERIOR_MIN,
@@ -393,3 +394,29 @@ class TestLabelFullBinary:
         for n in range(1, 40):
             g = complete_binary_graph(n)
             assert verify(g, label_full_binary(g)).ok
+
+    def test_delegation_checks_connectivity_once(self, monkeypatch):
+        # the parent scan proves a graph with n - 1 edges is a tree, so only
+        # label_bivalent_free's is_tree walks the graph
+        calls = []
+
+        def counting(g):
+            calls.append(g.n)
+            return is_connected(g)
+
+        monkeypatch.setattr(graph_module, "is_connected", counting)
+        g = complete_binary_graph(30)
+        assert verify(g, label_full_binary(g)).ok
+        assert calls == [30]
+
+    @pytest.mark.parametrize("g, message", [
+        (Graph(3, [(1, 2), (2, 3), (1, 3)]), "input is not a tree"),
+        # n - 1 edges, but a triangle and an isolated vertex
+        (Graph(4, [(1, 2), (2, 3), (1, 3)]), "input is not a tree"),
+        (Graph(3, [(1, 3), (2, 3)]),
+         "vertex 2 has 0 smaller neighbors; not level-order numbered"),
+    ])
+    def test_error_messages(self, g, message):
+        with pytest.raises(UnsupportedStructure) as excinfo:
+            label_full_binary(g)
+        assert str(excinfo.value) == message

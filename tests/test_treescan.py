@@ -270,8 +270,8 @@ class TestScanConjecture:
                 scan_conjecture(6, jobs=jobs)
 
     def test_trees_stream_one_at_a_time(self, monkeypatch):
-        # a tree's core is taken before the next tree is generated, so the
-        # scan holds one pending tree, never a list of a size's trees
+        # a tree's labeling is verified before the next tree is generated,
+        # so the scan holds one pending tree, never a list of a size's trees
         events = []
 
         def generating(n):
@@ -279,16 +279,36 @@ class TestScanConjecture:
                 events.append(("tree", t))
                 yield t
 
-        def stripping(t):
-            events.append(("core", t))
-            return pendant_core(t)
+        def verifying(t, labels):
+            events.append(("verify", t))
+            return verify(t, labels)
 
         monkeypatch.setattr(treescan, "enumerate_free_trees", generating)
-        monkeypatch.setattr(treescan, "pendant_core", stripping)
+        monkeypatch.setattr(treescan, "verify", verifying)
         report = scan_conjecture(9)
         trees = [t for n in range(1, 10) for t in enumerate_free_trees(n)]
         assert len(trees) == sum(r.tree_count for r in report.rows) == 95
-        assert events == [(kind, t) for t in trees for kind in ("tree", "core")]
+        assert events == [(kind, t) for t in trees for kind in ("tree", "verify")]
+
+    def test_core_encoded_once_per_shape(self, monkeypatch):
+        # the shape memo sends only the 158 distinct rooted cores up to 14
+        # vertices to pendant_core; every tree is still verified
+        cores, verified = [], []
+
+        def stripping(t):
+            cores.append(t)
+            return pendant_core(t)
+
+        def verifying(t, labels):
+            verified.append(t)
+            return verify(t, labels)
+
+        monkeypatch.setattr(treescan, "pendant_core", stripping)
+        monkeypatch.setattr(treescan, "verify", verifying)
+        report = scan_conjecture(14)
+        assert sum(r.tree_count for r in report.rows) == 5447
+        assert (len(cores), len(verified)) == (158, 5447)
+        assert len({treescan._strip_leaves(t)[3] for t in cores}) == 158
 
     def test_table_output(self):
         text = scan_conjecture(3).table()
@@ -335,8 +355,40 @@ class TestPendantCore:
             for t in enumerate_free_trees(n):
                 core = pendant_core(t)
                 labels = treescan._tree_labeling(
-                    core, find_labeling(core.graph).labeling)
+                    core.vertices, core.stripped, find_labeling(core.graph).labeling)
                 assert verify(t, labels).ok
+
+
+class TestShapeKey:
+    def test_enumeration_numbers_in_preorder(self):
+        # the parent of v >= 2 is its one smaller neighbour, adj[v][0]
+        for n in range(2, 15):
+            for t in enumerate_free_trees(n):
+                for v in range(2, n + 1):
+                    assert t.adj[v][0] < v and all(u > v for u in t.adj[v][1:])
+
+    def test_same_shape_same_core(self):
+        # trees that share a shape have isomorphic cores, and kept vertex i
+        # of one is kept vertex i of the other
+        first = {}
+        pairs = 0
+        for n in range(1, 14):
+            for t in enumerate_free_trees(n):
+                _, stripped, kept, shape = treescan._strip_leaves(t)
+                core = pendant_core(t)
+                assert list(core.stripped) == stripped
+                assert sorted(core.vertices) == kept
+                edges = {(u, v) for u, v in t.edges if u in kept and v in kept}
+                if shape not in first:
+                    first[shape] = (core.code, kept, edges)
+                    continue
+                code, kept0, edges0 = first[shape]
+                assert core.code == code
+                to_first = dict(zip(kept, kept0))
+                assert {(to_first[u], to_first[v]) for u, v in edges} == edges0
+                pairs += 1
+        # 2,288 trees to 13 vertices have 86 distinct shapes
+        assert (len(first), pairs) == (86, 2288 - 86)
 
 
 class TestScanReduction:

@@ -6,6 +6,7 @@ labelers in :mod:`nplabel.labelers` are formulas over these numberings.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -203,22 +204,23 @@ def _rooted_tree_from_pattern(child_counts):
     return Graph(len(child_counts), edges)
 
 
-def full_binary_graph(shape: Sequence[int]) -> Graph:
-    """Full binary tree from level-order internal/leaf bits (1 = internal)."""
+def _shape_bits(shape: Sequence[int]):
     bits = list(shape)
     if not bits or any(b not in (0, 1) for b in bits):
         raise InvalidSpec("shape must be a nonempty 0/1 sequence")
-    return _rooted_tree_from_pattern([2 if b else 0 for b in bits])
+    return bits
+
+
+def full_binary_graph(shape: Sequence[int]) -> Graph:
+    """Full binary tree from level-order internal/leaf bits (1 = internal)."""
+    return _rooted_tree_from_pattern([2 if b else 0 for b in _shape_bits(shape)])
 
 
 def full_kary_graph(k: int, shape: Sequence[int]) -> Graph:
     """Full k-ary tree (every node has 0 or k children) from level-order bits."""
     if k < 2:
         raise InvalidSpec("k-ary tree requires k >= 2, got k=%d" % k)
-    bits = list(shape)
-    if not bits or any(b not in (0, 1) for b in bits):
-        raise InvalidSpec("shape must be a nonempty 0/1 sequence")
-    return _rooted_tree_from_pattern([k if b else 0 for b in bits])
+    return _rooted_tree_from_pattern([k if b else 0 for b in _shape_bits(shape)])
 
 
 def cayley_graph(k: int, shape: Sequence[int]) -> Graph:
@@ -226,28 +228,17 @@ def cayley_graph(k: int, shape: Sequence[int]) -> Graph:
     bits; the internal root gets k children, other internals k-1."""
     if k < 3:
         raise InvalidSpec("Cayley tree requires k >= 3, got k=%d" % k)
-    bits = list(shape)
-    if not bits or any(b not in (0, 1) for b in bits):
-        raise InvalidSpec("shape must be a nonempty 0/1 sequence")
-    counts = []
-    for i, b in enumerate(bits):
-        if not b:
-            counts.append(0)
-        else:
-            counts.append(k if i == 0 else k - 1)
-    return _rooted_tree_from_pattern(counts)
+    bits = _shape_bits(shape)
+    return _rooted_tree_from_pattern([(k if i == 0 else k - 1) if b else 0
+                                      for i, b in enumerate(bits)])
 
 
 def complete_binary_graph(n_nodes: int) -> Graph:
     """Complete binary tree on ids 1..n with children 2v and 2v+1."""
     if n_nodes < 1:
         raise InvalidSpec("complete binary tree requires >= 1 node")
-    edges = []
-    for v in range(1, n_nodes + 1):
-        for c in (2 * v, 2 * v + 1):
-            if c <= n_nodes:
-                edges.append((v, c))
-    return Graph(n_nodes, edges)
+    return _rooted_tree_from_pattern(
+        [max(0, min(2, n_nodes + 1 - 2 * v)) for v in range(1, n_nodes + 1)])
 
 
 def random_tree(n: int, seed: int) -> Graph:
@@ -267,12 +258,12 @@ def tree_from_pruefer(n: int, seq: Sequence[int]) -> Graph:
     """Decode a Pruefer sequence of length n-2 into a labeled tree."""
     if len(seq) != n - 2:
         raise UsageError("Pruefer sequence must have length n-2")
+    if any(not 1 <= x <= n for x in seq):
+        raise UsageError("Pruefer sequence entries must lie in 1..%d" % n)
     degree = [1] * (n + 1)
     for x in seq:
         degree[x] += 1
     edges = []
-    import heapq
-
     leaves = [v for v in range(1, n + 1) if degree[v] == 1]
     heapq.heapify(leaves)
     for x in seq:

@@ -11,7 +11,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import LabelingInvalid, UsageError
 
@@ -129,19 +129,23 @@ def verify(g: Graph, labels: Labeling) -> VerificationReport:
     )
 
 
-def is_connected(g: Graph) -> bool:
-    seen = [False] * (g.n + 1)
-    seen[1] = True
-    queue = deque([1])
-    count = 1
+def bfs_dist(g: Graph, src: int) -> List[int]:
+    """Breadth-first distance from ``src`` to each vertex, -1 if unreached
+    (and at the unused index 0)."""
+    dist = [-1] * (g.n + 1)
+    dist[src] = 0
+    queue = deque([src])
     while queue:
         v = queue.popleft()
         for u in g.adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                count += 1
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
                 queue.append(u)
-    return count == g.n
+    return dist
+
+
+def is_connected(g: Graph) -> bool:
+    return -1 not in bfs_dist(g, 1)[1:]
 
 
 def is_tree(g: Graph) -> bool:

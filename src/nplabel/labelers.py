@@ -17,7 +17,8 @@ from .errors import (
     UnsupportedParameters,
     UnsupportedStructure,
 )
-from .graph import Graph, Labeling, contract, is_tree, verify, with_pendant
+from .graph import (Graph, Labeling, bfs_dist, contract, is_tree, verify,
+                    with_pendant)
 from .families import (
     FamilySpec,
     _ints,
@@ -34,8 +35,7 @@ def label_path(n: int) -> List[int]:
     """Path labeling: odd position i gets floor(n/2) + (i+1)/2, even gets i/2."""
     if n < 1:
         raise InvalidSpec("path labeling requires n >= 1, got %d" % n)
-    half = n // 2
-    return [half + (i + 1) // 2 if i % 2 else i // 2 for i in range(1, n + 1)]
+    return shifted_path_labels(INTERIOR_MIN, 0, n)
 
 
 def shifted_path_labels(variant: str, offset: int, length: int) -> List[int]:
@@ -170,16 +170,10 @@ def contract_one_max(
         raise PreconditionViolated("u1 and u2 must not be adjacent")
     if g.degree(u1) <= 1 and g.degree(u2) <= 1:
         raise PreconditionViolated("u1 or u2 must have degree > 1")
-    merged = contract(g, u1, u2)
-    keep, removed = (u1, u2) if u1 < u2 else (u2, u1)
-    labels = [0] * merged.n
-    labels[keep - 1] = 1
-    for v in range(1, g.n + 1):
-        if v in (u1, u2):
-            continue
-        new_id = v - 1 if v > removed else v
-        labels[new_id - 1] = f[v - 1]
-    return merged, labels
+    labels = list(f)  # contract's id shift: min(u1, u2) is the merged vertex
+    labels[min(u1, u2) - 1] = 1
+    del labels[max(u1, u2) - 1]
+    return contract(g, u1, u2), labels
 
 
 def label_star_gon(k: int, n: int) -> List[int]:
@@ -245,8 +239,7 @@ def label_caterpillar(pendant_counts: Sequence[int]) -> List[int]:
     """Caterpillar labeling: path labels on the spine, then pendant labels
     s+1, s+2, ... in ``caterpillar_graph``'s pendant order.  Every pendant
     hangs on an interior spine vertex, so this is the ``extend_pendant``
-    chain from the labeled path, without rebuilding and re-verifying the
-    graph for each leaf."""
+    chain from the labeled path."""
     counts = list(pendant_counts)
     if any(c < 0 for c in counts):
         raise InvalidSpec("pendant counts must be nonnegative")
@@ -332,33 +325,24 @@ def label_firecracker(n: int, k: int) -> List[int]:
     return labels
 
 
-def _walk_to_leaf(g: Graph, first: int, visited: set) -> List[int]:
-    """Walk from ``first``, a neighbor of a visited vertex, to a leaf, always
-    taking the lowest-numbered unvisited neighbor: the first one in the
-    sorted ``g.adj``.  Stops early if none is left; mutates ``visited``."""
-    path = []
-    cur = first
-    while True:
-        path.append(cur)
-        visited.add(cur)
-        for cur in g.adj[cur]:
-            if cur not in visited:
-                break
-        else:
-            return path
-
-
-def _bfs_dist(g: Graph, src: int) -> List[int]:
-    dist = [-1] * (g.n + 1)
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v]:
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
+def _leaf_path(t: Graph, core: List[int], visited: set) -> List[int]:
+    """Extend the path ``core`` to a leaf at both ends: mark it visited,
+    then walk from ``core[0]``, then from ``core[-1]``, each step taking
+    the lowest-numbered unvisited neighbour (the first in the sorted
+    ``t.adj``) and marking it.  In a tree the first walk never reaches
+    the second's start, even when ``core`` is a single vertex."""
+    visited.update(core)
+    sides = []
+    for end in (core[0], core[-1]):
+        side = [end]
+        for v in side:
+            for u in t.adj[v]:
+                if u not in visited:
+                    visited.add(u)
+                    side.append(u)
+                    break
+        sides.append(side[1:])
+    return sides[0][::-1] + core + sides[1]
 
 
 def _initial_leaf_path(t: Graph) -> List[int]:
@@ -368,27 +352,20 @@ def _initial_leaf_path(t: Graph) -> List[int]:
     deg2 = [v for v in range(1, t.n + 1) if len(adj[v]) == 2]
     if not deg2:
         v1 = min(v for v in range(1, t.n + 1) if len(adj[v]) >= 2)
-        visited = {v1}
-        # in a tree the walk from one neighbour never reaches another
-        side_a = _walk_to_leaf(t, adj[v1][0], visited)
-        side_b = _walk_to_leaf(t, adj[v1][1], visited)
-        return list(reversed(side_a)) + [v1] + side_b
-    dist = _bfs_dist(t, deg2[0])
+        return _leaf_path(t, [v1], set())
+    dist = bfs_dist(t, deg2[0])
     d1 = min(deg2, key=lambda v: (-dist[v], v))
-    dist1 = _bfs_dist(t, d1)
+    dist1 = bfs_dist(t, d1)
     d2 = min(deg2, key=lambda v: (-dist1[v], v))
     core = [d2]  # walk back to d1: one neighbour per step is nearer to it
     while core[-1] != d1:
         core.append(next(u for u in adj[core[-1]] if dist1[u] < dist1[core[-1]]))
     core.reverse()
-    visited = set(core)
-    if any(d not in visited for d in deg2):
+    if not set(deg2).issubset(core):
         raise UnsupportedStructure(
             "degree-2 vertices do not fit on a single leaf-to-leaf path"
         )
-    side_a = _walk_to_leaf(t, next(u for u in adj[d1] if u not in visited), visited)
-    side_b = _walk_to_leaf(t, next(u for u in adj[d2] if u not in visited), visited)
-    return list(reversed(side_a)) + core + side_b
+    return _leaf_path(t, core, set())
 
 
 def label_bivalent_free(t: Graph) -> List[int]:
@@ -399,6 +376,10 @@ def label_bivalent_free(t: Graph) -> List[int]:
 
     Every non-leaf ends up interior to some covered path, so its
     neighborhood contains two consecutive labels.
+
+    In a tree each queued anchor borders exactly one covered vertex, and
+    each later path stays in its own anchor's uncovered component, so an
+    anchor is queued once and is still uncovered when it is taken.
     """
     if not is_tree(t):
         raise UnsupportedStructure("input is not a tree")
@@ -412,29 +393,21 @@ def label_bivalent_free(t: Graph) -> List[int]:
     visited = set(p1)
     total = len(p1)
     queue = deque()
-    enqueued = set()
 
     def enqueue_neighbors(path):
         for x in path[1:-1]:
             for u in adj[x]:
-                if u not in visited and u not in enqueued and len(adj[u]) > 1:
+                if u not in visited and len(adj[u]) > 1:
                     queue.append(u)
-                    enqueued.add(u)
 
     enqueue_neighbors(p1)
     while queue:
         v = queue.popleft()
-        if v in visited:
-            continue
-        free = [u for u in adj[v] if u not in visited]
-        if len(free) < 2:
+        if sum(u not in visited for u in adj[v]) < 2:
             raise UnsupportedStructure(
                 "vertex %d cannot anchor a leaf-to-leaf path" % v
             )
-        visited.add(v)
-        side_a = _walk_to_leaf(t, free[0], visited)
-        side_b = _walk_to_leaf(t, free[1], visited)
-        path = list(reversed(side_a)) + [v] + side_b
+        path = _leaf_path(t, [v], visited)
         for pos, lab in enumerate(shifted_path_labels(INTERIOR_MIN, total, len(path))):
             labels[path[pos] - 1] = lab
         total += len(path)

@@ -80,35 +80,19 @@ class CoprimeMatching:
 def _coprime_masks(n: int):
     """Bitmask adjacency: bit j of cop[x] is set iff gcd(x, 2n+1+j) = 1.
 
-    Built by sieving multiples of each prime factor of x rather than n^2
-    gcd calls; an x has O(log x) distinct prime factors.
+    Built by sieving rather than n^2 gcd calls: for each prime p <= n,
+    every multiple of p loses the bits of the y that p divides.
     """
     lo = 2 * n + 1
     full = (1 << n) - 1
-    spf = list(range(n + 1))  # smallest prime factor
-    p = 2
-    while p * p <= n:
-        if spf[p] == p:
-            for q in range(p * p, n + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-        p += 1
-    nondiv = {}  # prime -> mask of j with (lo + j) not divisible by p
-    cop = [0] * (n + 1)
-    for x in range(1, n + 1):
-        m = full
-        y = x
-        while y > 1:
-            p = spf[y]
-            if p not in nondiv:
-                hits = 0
-                for j in range((-lo) % p, n, p):
-                    hits |= 1 << j
-                nondiv[p] = full & ~hits
-            m &= nondiv[p]
-            while y % p == 0:
-                y //= p
-        cop[x] = m
+    cop = [0] + [full] * n
+    for p in primes_upto(n):
+        hits = 0
+        for j in range((-lo) % p, n, p):
+            hits |= 1 << j
+        nondiv = full & ~hits
+        for x in range(p, n + 1, p):
+            cop[x] &= nondiv
     return cop
 
 

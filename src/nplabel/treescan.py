@@ -17,7 +17,7 @@ from itertools import count
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import UsageError
-from .graph import Graph, is_tree, verify
+from .graph import Graph, is_tree, verify, with_pendant
 from .search import (
     DEFAULT_BUDGET,
     EXHAUSTED,
@@ -30,16 +30,22 @@ from .search import (
 MAX_ENUM_N = 18
 
 
+def _require_tree(t: Graph, caller: str) -> None:
+    """``_canonical_rooting``'s leaf stripping never ends on a cycle."""
+    if not is_tree(t):
+        raise UsageError("%s requires a tree" % caller)
+
+
 def ahu_canonical(t: Graph) -> str:
     """Canonical string of a free tree: AHU encoding rooted at the center
     (for bicentral trees, the center whose string is least)."""
-    if not is_tree(t):
-        raise UsageError("ahu_canonical requires a tree")
+    _require_tree(t, "ahu_canonical")
     return _canonical_rooting(t.adj, [len(a) for a in t.adj])[0]
 
 
 def tree_centers(t: Graph) -> List[int]:
     """The 1 or 2 centers of a tree, by iterative leaf stripping."""
+    _require_tree(t, "tree_centers")
     return _canonical_rooting(t.adj, [len(a) for a in t.adj])[1]
 
 
@@ -190,7 +196,7 @@ def enumerate_free_trees_by_extension(n: int) -> List[Graph]:
         nxt: Dict[str, Graph] = {}
         for g in current.values():
             for v in range(1, g.n + 1):
-                h = Graph(g.n + 1, list(g.edges) + [(v, g.n + 1)])
+                h = with_pendant(g, v)
                 code = ahu_canonical(h)
                 if code not in nxt:
                     nxt[code] = h
@@ -280,6 +286,7 @@ def pendant_core(t: Graph) -> PendantCore:
     it.  By the pendant lemma (``labelers.extend_pendant``) any labeling of
     the core extends to the tree: the stripped leaves take the labels above
     the core's, last removed first."""
+    _require_tree(t, "pendant_core")
     degree, stripped, _, _ = _strip_leaves(t)
     code, _, order = _canonical_rooting(t.adj, degree)
     return PendantCore(t, code, tuple(order), tuple(stripped))

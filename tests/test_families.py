@@ -25,7 +25,17 @@ from nplabel.families import (
     star_gon_graph,
     tree_from_pruefer,
 )
-from nplabel.graph import contract, is_tree
+from nplabel.graph import Graph, contract, is_tree
+
+
+def complete_binary_reference(n_nodes):
+    """complete_binary_graph as an explicit loop over children 2v, 2v+1."""
+    edges = []
+    for v in range(1, n_nodes + 1):
+        for c in (2 * v, 2 * v + 1):
+            if c <= n_nodes:
+                edges.append((v, c))
+    return Graph(n_nodes, edges)
 
 
 class TestCounts:
@@ -142,6 +152,12 @@ class TestStructure:
         assert g.adj[2] == (1, 4, 5)
         assert g.adj[3] == (1, 6)
 
+    def test_complete_binary_matches_reference(self):
+        for n in range(1, 301):
+            g = complete_binary_graph(n)
+            assert g == complete_binary_reference(n)
+            assert g.adj == complete_binary_reference(n).adj
+
     def test_full_binary_shape(self):
         g = full_binary_graph([1, 1, 0, 0, 0])
         assert g.n == 5
@@ -203,6 +219,11 @@ class TestRandomTree:
         assert g.adj[1] == (2, 3, 4, 5)
         with pytest.raises(UsageError):
             tree_from_pruefer(5, [1, 1])
+
+    @pytest.mark.parametrize("seq", [[9, 1, 1], [1, -1, 1], [0, 2, 3], [6, 6, 6]])
+    def test_pruefer_entries_range_checked(self, seq):
+        with pytest.raises(UsageError, match=r"entries must lie in 1\.\.5"):
+            tree_from_pruefer(5, seq)
 
 
 class TestSpecParsing:

@@ -16,6 +16,7 @@ from nplabel.graph import (
     neighborhood,
     VerificationReport,
     Violation,
+    bfs_dist,
     verify,
     with_pendant,
 )
@@ -314,6 +315,12 @@ class TestStructurePredicates:
     def test_connectivity(self):
         assert is_connected(C(5))
         assert not is_connected(Graph(3, [(1, 2)]))
+        assert is_connected(Graph(1, []))
+
+    def test_bfs_dist(self):
+        assert bfs_dist(C(6), 1) == [-1, 0, 1, 2, 3, 2, 1]
+        assert bfs_dist(P(4), 3) == [-1, 2, 1, 0, 1]
+        assert bfs_dist(Graph(4, [(1, 2), (3, 4)]), 4) == [-1, -1, -1, 1, 0]
 
 
 class TestContract:

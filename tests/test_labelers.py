@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -18,12 +19,13 @@ from nplabel.families import (
     gear_graph,
     mobius_graph,
     path_graph,
+    random_tree,
     snake_graph,
     spider_graph,
     star_gon_graph,
 )
 from nplabel import graph as graph_module
-from nplabel.graph import Graph, is_connected, verify
+from nplabel.graph import Graph, contract, is_connected, verify
 from nplabel.labelers import (
     HEAD_MIN,
     INTERIOR_MIN,
@@ -45,6 +47,35 @@ from nplabel.labelers import (
     shifted_path_labels,
     snake_supported,
 )
+from nplabel.treescan import enumerate_free_trees
+
+
+def outcome_digest(labeler, graphs):
+    """(labelled count, sha256 over one line per graph: the repr of its
+    labels, or "<ErrorType>: <message>" if the labeler rejects it)."""
+    h = hashlib.sha256()
+    labelled = 0
+    for g in graphs:
+        try:
+            line = repr(labeler(g))
+            labelled += 1
+        except UnsupportedStructure as e:
+            line = "%s: %s" % (type(e).__name__, e)
+        h.update(line.encode() + b"\n")
+    return labelled, h.hexdigest()
+
+
+def relabel_reference(g, f, u1, u2):
+    """contract_one_max's labels as an explicit per-vertex loop."""
+    keep, removed = (u1, u2) if u1 < u2 else (u2, u1)
+    labels = [0] * (g.n - 1)
+    labels[keep - 1] = 1
+    for v in range(1, g.n + 1):
+        if v in (u1, u2):
+            continue
+        new_id = v - 1 if v > removed else v
+        labels[new_id - 1] = f[v - 1]
+    return labels
 
 
 class TestLabelPath:
@@ -169,6 +200,39 @@ class TestContractOneMax:
         g = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
         with pytest.raises(PreconditionViolated):
             contract_one_max(g, [1, 2, 3, 4], 1, 3)
+
+    def test_matches_relabel_loop(self):
+        # snakes up to 300 vertices, contracted from either end, and seeded
+        # random trees and caterpillars wherever a labeler covers them
+        cases = [(snake_graph(k, n), label_snake(k, n))
+                 for k in (3, 4, 5) for n in range(2, 300 // (k - 1) + 1)]
+        rng = random.Random(13)
+        for seed in range(600):
+            t = random_tree(rng.randint(3, 40), seed)
+            try:
+                cases.append((t, label_bivalent_free(t)))
+            except UnsupportedStructure:
+                pass
+            counts = [rng.randint(0, 3) for _ in range(rng.randint(1, 30))]
+            g = caterpillar_graph(counts)
+            cases.append((g, label_caterpillar(counts)))
+            # the same labelled caterpillar under a random numbering
+            perm = rng.sample(range(1, g.n + 1), g.n)
+            f = [0] * g.n
+            for v, label in zip(perm, cases[-1][1]):
+                f[v - 1] = label
+            cases.append((Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges]), f))
+        orders = []
+        for g, f in cases:
+            u1, u2 = f.index(1) + 1, f.index(g.n) + 1
+            if (min(u1, u2), max(u1, u2)) in g.edges or max(g.degree(u1), g.degree(u2)) < 2:
+                continue
+            merged, labels = contract_one_max(g, f, u1, u2)
+            assert merged == contract(g, u1, u2)
+            assert labels == relabel_reference(g, f, u1, u2)
+            orders.append(u1 < u2)
+        # the label-1 vertex is both the lower and the higher id many times
+        assert min(orders.count(True), orders.count(False)) > 100
 
 
 class TestLabelStarGon:
@@ -369,6 +433,14 @@ class TestLabelBivalentFree:
         g = caterpillar_graph([2, 0, 3])
         assert verify(g, label_bivalent_free(g)).ok
 
+    def test_outputs_pinned_on_all_small_trees(self):
+        # exact labels and rejection messages on the 987 free trees with at
+        # most 12 vertices, as enumerate_free_trees numbers them
+        trees = [t for n in range(1, 13) for t in enumerate_free_trees(n)]
+        assert len(trees) == 987
+        assert outcome_digest(label_bivalent_free, trees) == (
+            736, "61fa3e3b0ea18b3ab0ff593a5f4a0ec404e9bb096994fa92f59cedfe9ac20fe7")
+
 
 class TestLabelFullBinary:
     def test_perfect_identity(self):
@@ -394,6 +466,11 @@ class TestLabelFullBinary:
         for n in range(1, 40):
             g = complete_binary_graph(n)
             assert verify(g, label_full_binary(g)).ok
+
+    def test_complete_tree_outputs_pinned(self):
+        graphs = [complete_binary_graph(n) for n in range(1, 301)]
+        assert outcome_digest(label_full_binary, graphs) == (
+            300, "08d86f4e9001512ad36fa2dd0aa34745506e3784d559b4f20b6cc82dcfd609dd")
 
     def test_delegation_checks_connectivity_once(self, monkeypatch):
         # the parent scan proves a graph with n - 1 edges is a tree, so only

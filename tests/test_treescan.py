@@ -201,6 +201,17 @@ class TestTreeCenters:
     def test_singleton(self):
         assert tree_centers(Graph(1, [])) == [1]
 
+    @pytest.mark.parametrize("g", [
+        # a triangle with a tail: the leaf stripping never empties a layer
+        Graph(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5)]),
+        Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),  # C4
+        Graph(4, [(1, 2), (3, 4)]),  # disconnected
+    ])
+    @pytest.mark.parametrize("fn", [ahu_canonical, tree_centers, pendant_core])
+    def test_non_trees_rejected(self, fn, g):
+        with pytest.raises(UsageError, match="^%s requires a tree$" % fn.__name__):
+            fn(g)
+
 
 class TestEnumeration:
     def test_counts_small(self):

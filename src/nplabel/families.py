@@ -20,7 +20,9 @@ class FamilySpec:
     """Tagged parameter record selecting one graph family.
 
     ``kind`` is the family name used by the CLI grammar; ``args`` are its
-    parameters in the order documented for each constructor below.
+    parsed parameters, in the order of the kind's constructor below (e.g.
+    ``(9, 3)`` for ``snake:9,3``, ``((2, 2, 4),)`` for ``spider:2,2,4``).
+    Build a spec from text with :func:`parse_family`.
     """
 
     kind: str
@@ -277,63 +279,66 @@ def tree_from_pruefer(n: int, seq: Sequence[int]) -> Graph:
     return Graph(n, edges)
 
 
-_GENERATORS = {
-    "path": lambda args: path_graph(*_ints(args, 1)),
-    "cycle": lambda args: cycle_graph(*_ints(args, 1)),
-    "gear": lambda args: gear_graph(*_ints(args, 1)),
-    "snake": lambda args: snake_graph(*_ints(args, 2)),
-    "stargon": lambda args: star_gon_graph(*_ints(args, 2)),
-    "book": lambda args: book_graph(*_ints(args, 2)),
-    "book5": lambda args: book_graph(5, *_ints(args, 1)),
-    "mobius": lambda args: mobius_graph(*_ints(args, 1)),
-    "caterpillar": lambda args: caterpillar_graph(_ints(args, None)),
-    "spider": lambda args: spider_graph(_ints(args, None)),
-    "banana": lambda args: banana_graph(*_ints(args, 2)),
-    "firecracker": lambda args: firecracker_graph(*_ints(args, 2)),
-    "fullbinary": lambda args: full_binary_graph(_bits(args, 0)),
-    "kary": lambda args: full_kary_graph(_int(args[0]), _bits(args, 1)),
-    "cayley": lambda args: cayley_graph(_int(args[0]), _bits(args, 1)),
-    "completebinary": lambda args: complete_binary_graph(*_ints(args, 1)),
-    "randomtree": lambda args: random_tree(*_ints(args, 2)),
+# Each kind's parameter grammar and generator.  Grammar: "i" one integer,
+# "*" any number of integers (one tuple), "b" a 0/1 shape (a tuple of bits).
+# parse_family checks the grammar, and generate calls fn(*spec.args).
+_FAMILIES = {
+    "path": ("i", path_graph),
+    "cycle": ("i", cycle_graph),
+    "gear": ("i", gear_graph),
+    "snake": ("ii", snake_graph),
+    "stargon": ("ii", star_gon_graph),
+    "book": ("ii", book_graph),
+    "book5": ("i", lambda n: book_graph(5, n)),
+    "mobius": ("i", mobius_graph),
+    "caterpillar": ("*", caterpillar_graph),
+    "spider": ("*", spider_graph),
+    "banana": ("ii", banana_graph),
+    "firecracker": ("ii", firecracker_graph),
+    "fullbinary": ("b", full_binary_graph),
+    "kary": ("ib", full_kary_graph),
+    "cayley": ("ib", cayley_graph),
+    "completebinary": ("i", complete_binary_graph),
+    "randomtree": ("ii", random_tree),
 }
 
 
 def _int(tok):
     try:
         return int(tok)
-    except (TypeError, ValueError):
+    except ValueError:
         raise InvalidSpec("expected an integer, got %r" % (tok,))
 
 
-def _ints(args, expect):
-    vals = [_int(a) for a in args]
-    if expect is not None and len(vals) != expect:
-        raise InvalidSpec("expected %d parameters, got %d" % (expect, len(vals)))
-    return vals
-
-
-def _bits(args, pos):
-    if len(args) != pos + 1:
-        raise InvalidSpec("expected a shape bit-string parameter")
-    tok = str(args[pos])
-    if not tok or any(c not in "01" for c in tok):
-        raise InvalidSpec("shape must be a string of 0/1 bits, got %r" % tok)
-    return [int(c) for c in tok]
+def _parse_args(grammar, tokens):
+    """Typed parameters for ``tokens``: the integers, then arity, then bits."""
+    if grammar == "*":
+        return (tuple(_int(t) for t in tokens),)
+    shape = grammar.endswith("b")
+    vals = [_int(t) for t in (tokens[:len(grammar) - 1] if shape else tokens)]
+    if len(tokens) != len(grammar):
+        raise InvalidSpec("expected a shape bit-string parameter" if shape else
+                          "expected %d parameters, got %d" % (len(grammar), len(tokens)))
+    if shape:
+        if any(c not in "01" for c in tokens[-1]):
+            raise InvalidSpec("shape must be a string of 0/1 bits, got %r" % tokens[-1])
+        vals.append(tuple(int(c) for c in tokens[-1]))
+    return tuple(vals)
 
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the canonical graph for a family spec; deterministic."""
-    if spec.kind not in _GENERATORS:
+    if spec.kind not in _FAMILIES:
         raise InvalidSpec("unknown family %r" % spec.kind)
-    return _GENERATORS[spec.kind](spec.args)
+    return _FAMILIES[spec.kind][1](*spec.args)
 
 
 def parse_family(text: str) -> FamilySpec:
     """Parse the CLI family grammar ``name:arg,arg,...`` (e.g. ``gear:7``,
     ``snake:9,3``, ``spider:2,2,4,4,4,6``, ``fullbinary:1100100``)."""
-    name, sep, rest = text.partition(":")
+    name, _, rest = text.partition(":")
     name = name.strip().lower()
-    if name not in _GENERATORS:
+    if name not in _FAMILIES:
         raise InvalidSpec("unknown family %r" % name)
-    args = tuple(a.strip() for a in rest.split(",") if a.strip()) if sep else ()
-    return FamilySpec(name, args)
+    tokens = [a.strip() for a in rest.split(",") if a.strip()]
+    return FamilySpec(name, _parse_args(_FAMILIES[name][0], tokens))

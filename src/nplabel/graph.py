@@ -91,10 +91,14 @@ def gcd_of(values) -> int:
     return reduce(math.gcd, values)
 
 
+def check_vertex(g: Graph, v: int) -> None:
+    if not 1 <= v <= g.n:
+        raise UsageError("vertex %d out of range 1..%d" % (v, g.n))
+
+
 def neighborhood(g: Graph, v: int):
     """Sorted open neighborhood of v."""
-    if not (1 <= v <= g.n):
-        raise UsageError("vertex %d out of range 1..%d" % (v, g.n))
+    check_vertex(g, v)
     return list(g.adj[v])
 
 
@@ -179,6 +183,5 @@ def contract(g: Graph, a: int, b: int) -> Graph:
 
 def with_pendant(g: Graph, v: int) -> Graph:
     """New graph with an extra vertex n+1 attached to v by a pendant edge."""
-    if not (1 <= v <= g.n):
-        raise UsageError("vertex %d out of range 1..%d" % (v, g.n))
+    check_vertex(g, v)
     return Graph(g.n + 1, list(g.edges) + [(v, g.n + 1)])

@@ -17,11 +17,10 @@ from .errors import (
     UnsupportedParameters,
     UnsupportedStructure,
 )
-from .graph import (Graph, Labeling, bfs_dist, contract, is_tree, verify,
-                    with_pendant)
+from .graph import (Graph, Labeling, bfs_dist, check_vertex, contract, is_tree,
+                    verify, with_pendant)
 from .families import (
     FamilySpec,
-    _ints,
     snake_base_vertex,
     snake_vertex_count,
 )
@@ -133,13 +132,8 @@ def label_snake(k: int, n: int) -> List[int]:
             labels[3 * i - 1] = 3 * i - 1  # trace vertex 3i (cell vertex w_i)
         return labels
     if k == 5:
-        for i in range(1, n + 1):
-            u = 4 * i - 3  # label of u_i, also its trace id
-            if i % 3 == 0 and i < n:
-                u_label = 4 * i - 1
-            else:
-                u_label = 4 * i - 3
-            labels[4 * i - 4] = u_label
+        for i in range(1, n + 1):  # u_i, trace id 4i-3
+            labels[4 * i - 4] = 4 * i - 1 if i % 3 == 0 and i < n else 4 * i - 3
         for i in range(1, n):
             v_label = 4 * i - 3 if i % 3 == 0 else 4 * i - 1
             labels[4 * i - 3] = v_label  # trace 4i-2 (v_i)
@@ -158,15 +152,15 @@ def contract_one_max(
 ) -> Tuple[Graph, List[int]]:
     """Contract the label-1 vertex with the label-n vertex, keeping all other
     labels; the merged vertex is labeled 1.  Preconditions enforced."""
-    report = verify(g, f)
-    if not report.ok:
+    check_vertex(g, u1)
+    check_vertex(g, u2)
+    if not verify(g, f).ok:
         raise PreconditionViolated("input labeling is not neighborhood-prime")
     if f[u1 - 1] != 1:
         raise PreconditionViolated("f(u1) must be 1, got %d" % f[u1 - 1])
     if f[u2 - 1] != g.n:
         raise PreconditionViolated("f(u2) must be n=%d, got %d" % (g.n, f[u2 - 1]))
-    e = (u1, u2) if u1 < u2 else (u2, u1)
-    if e in g.edges:
+    if u2 in g.adj[u1]:
         raise PreconditionViolated("u1 and u2 must not be adjacent")
     if g.degree(u1) <= 1 and g.degree(u2) <= 1:
         raise PreconditionViolated("u1 or u2 must have degree > 1")
@@ -198,11 +192,7 @@ def label_book5(n: int) -> List[int]:
     if n < 1:
         raise InvalidSpec("book requires n >= 1, got %d" % n)
     labels = [0] * (3 * n + 2)
-    labels[0] = 3  # u1
-    labels[1] = 1  # u2
-    labels[2] = 2  # v1
-    labels[3] = 4  # w1
-    labels[4] = 5  # x1
+    labels[:5] = [3, 1, 2, 4, 5]  # u1, u2, v1, w1, x1
     for i in range(2, n + 1):
         base = 3 * (i - 1)  # vertex ids base+3, base+4, base+5 hold v_i, w_i, x_i
         labels[base + 2] = 3 * i
@@ -224,13 +214,13 @@ def label_mobius(n: int) -> List[int]:
 
 def extend_pendant(g: Graph, f: Labeling, v: int) -> Tuple[Graph, List[int]]:
     """Attach a new leaf n+1 to v (degree > 1 required) labeled n+1."""
+    check_vertex(g, v)
     if g.degree(v) <= 1:
         raise PreconditionViolated(
             "pendant attachment point must have degree > 1, vertex %d has %d"
             % (v, g.degree(v))
         )
-    report = verify(g, f)
-    if not report.ok:
+    if not verify(g, f).ok:
         raise PreconditionViolated("input labeling is not neighborhood-prime")
     return with_pendant(g, v), list(f) + [g.n + 1]
 
@@ -472,23 +462,22 @@ def label_book(k: int, n: int) -> List[int]:
     return list(range(1, 3 + n * (k - 2)))
 
 
-# Closed-form labeler per family kind.  An entry takes the spec's arguments
-# and the graph generate() built from them; integer arguments are parsed by
-# the same helper as in generate().  Entries look the labelers up at call
-# time, so the benchmark tracer (perfbench/), which replaces module
-# attributes, sees every labeler call.
+# Closed-form labeler per family kind.  An entry takes the spec's parsed
+# arguments and the graph generate() built from them.  Entries look the
+# labelers up at call time, so the benchmark tracer (perfbench/), which
+# replaces module attributes, sees every labeler call.
 _LABELERS = {
-    "path": lambda args, g: label_path(*_ints(args, 1)),
-    "gear": lambda args, g: label_gear(*_ints(args, 1)),
-    "snake": lambda args, g: label_snake(*_ints(args, 2)),
-    "stargon": lambda args, g: label_star_gon(*_ints(args, 2)),
-    "book": lambda args, g: label_book(*_ints(args, 2)),
-    "book5": lambda args, g: label_book5(*_ints(args, 1)),
-    "mobius": lambda args, g: label_mobius(*_ints(args, 1)),
-    "caterpillar": lambda args, g: label_caterpillar(_ints(args, None)),
-    "spider": lambda args, g: label_spider(_ints(args, None)),
-    "banana": lambda args, g: label_banana(*_ints(args, 2)),
-    "firecracker": lambda args, g: label_firecracker(*_ints(args, 2)),
+    "path": lambda args, g: label_path(*args),
+    "gear": lambda args, g: label_gear(*args),
+    "snake": lambda args, g: label_snake(*args),
+    "stargon": lambda args, g: label_star_gon(*args),
+    "book": lambda args, g: label_book(*args),
+    "book5": lambda args, g: label_book5(*args),
+    "mobius": lambda args, g: label_mobius(*args),
+    "caterpillar": lambda args, g: label_caterpillar(*args),
+    "spider": lambda args, g: label_spider(*args),
+    "banana": lambda args, g: label_banana(*args),
+    "firecracker": lambda args, g: label_firecracker(*args),
     "fullbinary": lambda args, g: label_full_binary(g),
     "completebinary": lambda args, g: label_full_binary(g),
     "kary": lambda args, g: label_bivalent_free(g),

@@ -417,12 +417,15 @@ def scan_conjecture(
     An irreducible tree is its own core, so an inconclusive core search
     is its result.
 
+    The scan needs one labeling per tree, so ``cfg.find_all`` is refused.
     ``jobs`` accepts only 1.  It is kept for existing callers that pass
     ``jobs=1`` and goes in the next change to the benchmark."""
     if not (1 <= max_n <= MAX_ENUM_N):
         raise UsageError("max_n must be within 1..%d" % MAX_ENUM_N)
     if jobs != 1:
         raise UsageError("the scan is serial; jobs must be 1, got %r" % (jobs,))
+    if cfg.find_all:
+        raise UsageError("the scan needs one labeling per tree; find_all must be off")
     # Both memos span sizes, since a core met at one size recurs among
     # larger trees; they are local to one call.
     # core code -> outcome of its search

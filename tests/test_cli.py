@@ -74,6 +74,14 @@ class TestLabel:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["gen", "label"])
+    @pytest.mark.parametrize("spec", ["kary", "kary:", "kary:,", "cayley", "cayley:,,"])
+    def test_missing_shape_is_an_error(self, capsys, command, spec):
+        code, out, err = run(capsys, command, "--family", spec)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == "error: expected a shape bit-string parameter\n"
+
     def test_quadrilateral_book_is_labeled(self, capsys):
         code, out, _ = run(capsys, "label", "--family", "book:4,3")
         assert code == EXIT_OK

@@ -1,5 +1,6 @@
 import pytest
 
+from nplabel import families
 from nplabel.errors import InvalidSpec, UsageError
 from nplabel.families import (
     FamilySpec,
@@ -226,15 +227,84 @@ class TestRandomTree:
             tree_from_pruefer(5, seq)
 
 
+# one CLI string per family kind, its parsed args and the direct constructor call
+KIND_CASES = {
+    "path": ("path:9", (9,), lambda: path_graph(9)),
+    "cycle": ("cycle:6", (6,), lambda: cycle_graph(6)),
+    "gear": ("gear:7", (7,), lambda: gear_graph(7)),
+    "snake": ("snake:9,3", (9, 3), lambda: snake_graph(9, 3)),
+    "stargon": ("stargon:4,3", (4, 3), lambda: star_gon_graph(4, 3)),
+    "book": ("book:3,6", (3, 6), lambda: book_graph(3, 6)),
+    "book5": ("book5:6", (6,), lambda: book_graph(5, 6)),
+    "mobius": ("mobius:6", (6,), lambda: mobius_graph(6)),
+    "caterpillar": ("caterpillar:0,2,1", ((0, 2, 1),), lambda: caterpillar_graph([0, 2, 1])),
+    "spider": ("spider:2,2,4,4,4,6", ((2, 2, 4, 4, 4, 6),),
+               lambda: spider_graph([2, 2, 4, 4, 4, 6])),
+    "banana": ("banana:3,6", (3, 6), lambda: banana_graph(3, 6)),
+    "firecracker": ("firecracker:6,3", (6, 3), lambda: firecracker_graph(6, 3)),
+    "fullbinary": ("fullbinary:1100100", ((1, 1, 0, 0, 1, 0, 0),),
+                   lambda: full_binary_graph([1, 1, 0, 0, 1, 0, 0])),
+    "kary": ("kary:3,1000", (3, (1, 0, 0, 0)), lambda: full_kary_graph(3, [1, 0, 0, 0])),
+    "cayley": ("cayley:4,11000000", (4, (1, 1, 0, 0, 0, 0, 0, 0)),
+               lambda: cayley_graph(4, [1, 1, 0, 0, 0, 0, 0, 0])),
+    "completebinary": ("completebinary:15", (15,), lambda: complete_binary_graph(15)),
+    "randomtree": ("randomtree:20,7", (20, 7), lambda: random_tree(20, 7)),
+}
+
+
 class TestSpecParsing:
     def test_parse_with_args(self):
-        assert parse_family("gear:7") == FamilySpec("gear", ("7",))
-        assert parse_family("snake:9,3") == FamilySpec("snake", ("9", "3"))
-        assert parse_family("Spider: 2, 2, 4") == FamilySpec("spider", ("2", "2", "4"))
+        assert parse_family("gear:7") == FamilySpec("gear", (7,))
+        assert parse_family("snake:9,3") == FamilySpec("snake", (9, 3))
+        assert parse_family("Spider: 2, 2, 4") == FamilySpec("spider", ((2, 2, 4),))
+
+    def test_cases_cover_every_kind(self):
+        assert set(KIND_CASES) == set(families._FAMILIES)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_CASES))
+    def test_typed_args_and_direct_constructor(self, kind):
+        text, args, build = KIND_CASES[kind]
+        spec = parse_family(text)
+        assert spec == FamilySpec(kind, args)
+        assert generate(spec) == build()
+
+    def test_variadic_and_shape_edges(self):
+        assert parse_family("caterpillar") == FamilySpec("caterpillar", ((),))
+        assert parse_family("kary: 3 , 10 ,") == FamilySpec("kary", (3, (1, 0)))
 
     def test_parse_unknown(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidSpec) as exc:
             parse_family("wheel:5")
+        assert str(exc.value) == "unknown family 'wheel'"
+
+    @pytest.mark.parametrize("text, message", [
+        ("gear:x", "expected an integer, got 'x'"),
+        ("spider:1,1.5,2", "expected an integer, got '1.5'"),
+        ("snake:x", "expected an integer, got 'x'"),
+        ("gear:3,x", "expected an integer, got 'x'"),  # integers before arity
+        ("kary:x", "expected an integer, got 'x'"),
+        ("kary:x,1,1", "expected an integer, got 'x'"),
+        ("gear:3,4", "expected 1 parameters, got 2"),
+        ("snake:9", "expected 2 parameters, got 1"),
+        ("gear", "expected 1 parameters, got 0"),
+        ("fullbinary", "expected a shape bit-string parameter"),
+        ("kary:3", "expected a shape bit-string parameter"),
+        ("kary:", "expected a shape bit-string parameter"),
+        ("cayley", "expected a shape bit-string parameter"),
+        ("fullbinary:1,1", "expected a shape bit-string parameter"),
+        ("kary:3,1000,1", "expected a shape bit-string parameter"),
+        ("kary:3,x,1", "expected a shape bit-string parameter"),  # arity before bits
+        ("fullbinary:1102", "shape must be a string of 0/1 bits, got '1102'"),
+        ("cayley:4,1x", "shape must be a string of 0/1 bits, got '1x'"),
+    ])
+    def test_grammar_failure_messages(self, text, message):
+        with pytest.raises(InvalidSpec) as exc:
+            parse_family(text)
+        assert str(exc.value) == message
+
+    def test_generate_unknown_kind(self):
+        with pytest.raises(InvalidSpec, match="unknown family 'wheel'"):
+            generate(FamilySpec("wheel", (5,)))
 
     def test_generate_dispatch(self):
         g = generate(parse_family("fullbinary:1100100"))

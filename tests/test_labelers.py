@@ -8,6 +8,7 @@ from nplabel.errors import (
     PreconditionViolated,
     UnsupportedParameters,
     UnsupportedStructure,
+    UsageError,
 )
 from nplabel.families import (
     banana_graph,
@@ -201,6 +202,16 @@ class TestContractOneMax:
         with pytest.raises(PreconditionViolated):
             contract_one_max(g, [1, 2, 3, 4], 1, 3)
 
+    @pytest.mark.parametrize("v", [0, -1, 8])
+    def test_vertices_range_checked(self, v):
+        g = snake_graph(3, 4)
+        f = label_snake(3, 4)
+        message = "^vertex %d out of range 1\\.\\.7$" % v
+        with pytest.raises(UsageError, match=message):
+            contract_one_max(g, f, v, 7)
+        with pytest.raises(UsageError, match=message):
+            contract_one_max(g, f, 1, v)
+
     def test_matches_relabel_loop(self):
         # snakes up to 300 vertices, contracted from either end, and seeded
         # random trees and caterpillars wherever a labeler covers them
@@ -315,6 +326,11 @@ class TestExtendPendant:
         g = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
         with pytest.raises(PreconditionViolated):
             extend_pendant(g, [1, 2, 3, 4], 1)
+
+    @pytest.mark.parametrize("v", [0, -1, 5])
+    def test_vertex_range_checked(self, v):
+        with pytest.raises(UsageError, match="^vertex %d out of range 1\\.\\.4$" % v):
+            extend_pendant(path_graph(4), label_path(4), v)
 
 
 class TestLabelCaterpillar:

@@ -55,8 +55,8 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def write_edge_list(g: Graph) -> str:
-    lines = ["%d %d" % (g.n, len(g.edges))]
-    lines += ["%d %d" % e for e in sorted(g.edges)]
+    lines = ["%d %d" % (g.n, g.m)]
+    lines += ["%d %d" % e for e in g.edges]
     return "\n".join(lines) + "\n"
 
 
@@ -98,7 +98,7 @@ def to_dot(
         lines.append(
             "  v%d%s;" % (v, " [" + ", ".join(attrs) + "]" if attrs else "")
         )
-    for u, v in sorted(g.edges):
+    for u, v in g.edges:
         lines.append("  v%d -- v%d;" % (u, v))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,18 +21,23 @@ Labeling = Sequence[int]
 class Graph:
     """Immutable simple undirected graph on vertices 1..n.
 
+    A Graph stores only ``n``, the edge count ``m`` and ``adj``, where
     ``adj[v]`` is the sorted neighbor tuple of vertex v (index 0 unused).
+    ``edges`` is derived from ``adj`` in ascending order.
     """
 
+    __slots__ = ("n", "m", "adj")
+
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
-        """Validate and store each edge in one pass, keeping a plain tuple
-        (u, v) with u < v as is; then sort each adjacency list once."""
+        """Validate each edge and append it to both adjacency lists in one
+        pass, then sort each list once; the duplicate check's set is local."""
         if n < 1:
             raise UsageError("vertex count must be positive, got %d" % n)
         normalized = set()
         adj = [[] for _ in range(n + 1)]
         for e in edges:
             u, v = e
+            # a plain tuple (u, v) with u < v is used as is: one allocation less
             if v < u or type(e) is not tuple:
                 e = (u, v) if u < v else (v, u)
             if e in normalized or not 1 <= e[0] < e[1] <= n:
@@ -47,24 +52,25 @@ class Graph:
         for nbrs in adj:
             nbrs.sort()
         self.n = n
-        self.edges = frozenset(normalized)
+        self.m = len(normalized)
         self.adj = tuple(map(tuple, adj))
+
+    @property
+    def edges(self) -> Tuple[Tuple[int, int], ...]:
+        """Every edge (u, v) with u < v, in ascending order."""
+        return tuple((u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self.adj == other.adj
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash(self.adj)
 
     def __repr__(self):
-        return "Graph(n=%d, m=%d)" % (self.n, len(self.edges))
+        return "Graph(n=%d, m=%d)" % (self.n, self.m)
 
 
 @dataclass(frozen=True)
@@ -136,6 +142,7 @@ def verify(g: Graph, labels: Labeling) -> VerificationReport:
 def bfs_dist(g: Graph, src: int) -> List[int]:
     """Breadth-first distance from ``src`` to each vertex, -1 if unreached
     (and at the unused index 0)."""
+    check_vertex(g, src)
     dist = [-1] * (g.n + 1)
     dist[src] = 0
     queue = deque([src])
@@ -154,7 +161,7 @@ def is_connected(g: Graph) -> bool:
 
 def is_tree(g: Graph) -> bool:
     """True iff g is connected with exactly n-1 edges."""
-    return len(g.edges) == g.n - 1 and is_connected(g)
+    return g.m == g.n - 1 and is_connected(g)
 
 
 def contract(g: Graph, a: int, b: int) -> Graph:
@@ -164,6 +171,8 @@ def contract(g: Graph, a: int, b: int) -> Graph:
     one so the result lives on 1..n-1.  Parallel edges collapse; a contracted
     edge ab would become a self-loop and is dropped.
     """
+    check_vertex(g, a)
+    check_vertex(g, b)
     if a == b:
         raise UsageError("cannot contract a vertex with itself")
     keep, remove = (a, b) if a < b else (b, a)

@@ -422,7 +422,7 @@ def label_full_binary(t: Graph) -> List[int]:
     Only when the scan fails is ``is_tree`` run, to tell a non-tree from a
     tree that is not level-order numbered.
     """
-    if len(t.edges) != t.n - 1:
+    if t.m != t.n - 1:
         raise UnsupportedStructure("input is not a tree")
     if t.n == 1:
         return [1]

@@ -78,10 +78,26 @@ class TestGraph:
                                    max_size=len(chosen)))
         g = Graph(n, [(v, u) if flip else (u, v)
                       for (u, v), flip in zip(chosen, flips)])
-        assert g.edges == frozenset(chosen)
+        assert g.edges == tuple(sorted(chosen))
         for v in range(n + 1):
             nbrs = {b for a, b in chosen if a == v} | {a for a, b in chosen if b == v}
             assert g.adj[v] == tuple(sorted(nbrs))
+
+    def test_stores_only_n_m_and_adj(self):
+        g = Graph(4, [(3, 4), (2, 1), (1, 3)])
+        assert not hasattr(g, "__dict__")
+        assert {name: getattr(g, name) for name in Graph.__slots__} == {
+            "n": 4, "m": 3, "adj": ((), (2, 3), (1,), (1, 4), (3,))}
+        assert g.edges == ((1, 2), (1, 3), (3, 4))
+        assert repr(g) == "Graph(n=4, m=3)"
+
+    def test_equality_and_hash_follow_adjacency(self):
+        g = Graph(4, [(1, 2), (2, 3)])
+        assert g == Graph(4, [(3, 2), (2, 1)])
+        assert hash(g) == hash(Graph(4, [(3, 2), (2, 1)]))
+        assert g != Graph(3, [(1, 2), (2, 3)])  # the isolated vertex 4 counts
+        assert g != Graph(4, [(1, 2), (3, 4)])
+        assert g != g.adj
 
     def test_edge_shapes_agree(self):
         pairs = [(1, 2), (3, 2), (4, 1), (2, 4)]
@@ -111,7 +127,7 @@ class TestGraph:
             for u, v in sorted(normalized):
                 adj[u].append(v)
                 adj[v].append(u)
-            return frozenset(normalized), tuple(map(tuple, adj))
+            return tuple(sorted(normalized)), tuple(map(tuple, adj))
 
         rng = random.Random(20261018)
         rejected = 0
@@ -322,6 +338,11 @@ class TestStructurePredicates:
         assert bfs_dist(P(4), 3) == [-1, 2, 1, 0, 1]
         assert bfs_dist(Graph(4, [(1, 2), (3, 4)]), 4) == [-1, -1, -1, 1, 0]
 
+    @pytest.mark.parametrize("v", [0, -1, 4])
+    def test_bfs_dist_source_range_checked(self, v):
+        with pytest.raises(UsageError, match="^vertex %d out of range 1\\.\\.3$" % v):
+            bfs_dist(P(3), v)
+
 
 class TestContract:
     def test_snake_ends_give_triangle_fan(self):
@@ -336,17 +357,24 @@ class TestContract:
         g = Graph(3, [(1, 2), (2, 3)])
         h = contract(g, 1, 3)
         assert h.n == 2
-        assert h.edges == frozenset({(1, 2)})
+        assert h.edges == ((1, 2),)
 
     def test_contracting_an_edge_drops_it(self):
         g = Graph(3, [(1, 2), (2, 3)])
         h = contract(g, 1, 2)
         assert h.n == 2
-        assert h.edges == frozenset({(1, 2)})
+        assert h.edges == ((1, 2),)
 
     def test_same_vertex_rejected(self):
         with pytest.raises(UsageError):
             contract(P(3), 2, 2)
+
+    @pytest.mark.parametrize("v", [0, -1, 6])
+    def test_vertices_range_checked(self, v):
+        message = "^vertex %d out of range 1\\.\\.5$" % v
+        for a, b in ((v, 3), (2, v), (v, v)):
+            with pytest.raises(UsageError, match=message):
+                contract(C(5), a, b)
 
 
 class TestWithPendant:

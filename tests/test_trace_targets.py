@@ -1,8 +1,10 @@
-"""Every dotted name that the benchmark's traced runs wrap must exist.
+"""Every dotted name that the benchmark's traced runs wrap must exist, and
+each workload must call every one of them.
 
-``perfbench/run.py --trace 1`` replaces each target with a wrapper, so a
-refactor that renames or removes a traced function breaks only traced
-runs; this test makes it fail the ordinary suite instead."""
+``perfbench/run.py --trace 1`` replaces each target with a wrapper and fails
+on a target that is missing or never called, so a refactor that renames,
+removes or stops calling a traced function breaks only traced runs; these
+tests make it fail the ordinary suite instead."""
 
 import importlib
 from pathlib import Path
@@ -34,3 +36,20 @@ def test_target_resolves_to_callable(target):
     module, _, name = target.rpartition(".")
     assert module.split(".")[0] == "nplabel"
     assert callable(getattr(importlib.import_module(module), name, None)), target
+
+
+@pytest.mark.parametrize("name", ["family-label", "tree-scan"])
+def test_workload_calls_every_target(name, tmp_path, monkeypatch):
+    # the first repetition of seed 1, run once under perfbench's own tracer
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = importlib.import_module("workloads").load(name, tmp_path / "scratch")
+    tracer = importlib.import_module("tracing").Tracer(workload.targets)
+    inputs = workload.build(1, 0)
+    tracer.install(0)
+    try:
+        output = workload.run(inputs)
+    finally:
+        tracer.uninstall()
+    tracer.check_called(name)
+    attempted, failed, _ = workload.check(inputs, output)
+    assert attempted > 0 and failed == 0

@@ -154,7 +154,7 @@ class TestAhuCanonical:
         t = Graph(15, [(15 - u, 15 - v) for u, v in edges] + [(14, 15)])
         core = pendant_core(t)
         assert core.code == code and core.stripped == (15,)
-        assert core.graph.edges == edges
+        assert core.graph.edges == tuple(sorted(edges))
         assert treescan._search_core(core.graph, code, SearchConfig()).nodes_explored == 602
 
 

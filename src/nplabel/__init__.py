@@ -1,65 +1,83 @@
 """Neighborhood-prime labelings: constructors, constructive labelers,
 verifier, exact search, and an exhaustive conjecture scan over small trees.
+
+Every public name below resolves on first use: ``import nplabel`` loads no
+submodule, and ``nplabel.find_labeling`` imports :mod:`nplabel.search` (and
+what it imports) the first time it is read.
 """
 
-from .errors import (
-    InvalidSpec,
-    LabelingInvalid,
-    NPLabelError,
-    ParseError,
-    PreconditionViolated,
-    UnsupportedParameters,
-    UnsupportedStructure,
-    UsageError,
-)
-from .graph import (
-    Graph,
-    VerificationReport,
-    Violation,
-    gcd_of,
-    is_tree,
-    neighborhood,
-    verify,
-)
-from .families import FamilySpec, generate, parse_family, random_tree
-from .labelers import (
-    HEAD_MIN,
-    INTERIOR_MIN,
-    contract_one_max,
-    extend_pendant,
-    label_banana,
-    label_bivalent_free,
-    label_book,
-    label_book5,
-    label_caterpillar,
-    label_firecracker,
-    label_full_binary,
-    label_gear,
-    label_mobius,
-    label_path,
-    label_snake,
-    label_spider,
-    label_star_gon,
-    shifted_path_labels,
-    snake_supported,
-)
-from .numtheory import CoprimeMatching, bertrand_prime, coprime_matching
-from .search import (
-    EXHAUSTED,
-    FOUND,
-    INCONCLUSIVE,
-    SearchConfig,
-    SearchOutcome,
-    brute_force_oracle,
-    find_labeling,
-    kernel_name,
-)
-from .treescan import (
-    ConjectureReport,
-    ahu_canonical,
-    enumerate_free_trees,
-    enumerate_free_trees_by_extension,
-    scan_conjecture,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "InvalidSpec": "errors",
+    "LabelingInvalid": "errors",
+    "NPLabelError": "errors",
+    "ParseError": "errors",
+    "PreconditionViolated": "errors",
+    "UnsupportedParameters": "errors",
+    "UnsupportedStructure": "errors",
+    "UsageError": "errors",
+    "Graph": "graph",
+    "VerificationReport": "graph",
+    "Violation": "graph",
+    "gcd_of": "graph",
+    "is_tree": "graph",
+    "neighborhood": "graph",
+    "verify": "graph",
+    "FamilySpec": "families",
+    "generate": "families",
+    "parse_family": "families",
+    "random_tree": "families",
+    "HEAD_MIN": "labelers",
+    "INTERIOR_MIN": "labelers",
+    "contract_one_max": "labelers",
+    "extend_pendant": "labelers",
+    "label_banana": "labelers",
+    "label_bivalent_free": "labelers",
+    "label_book": "labelers",
+    "label_book5": "labelers",
+    "label_caterpillar": "labelers",
+    "label_firecracker": "labelers",
+    "label_full_binary": "labelers",
+    "label_gear": "labelers",
+    "label_mobius": "labelers",
+    "label_path": "labelers",
+    "label_snake": "labelers",
+    "label_spider": "labelers",
+    "label_star_gon": "labelers",
+    "shifted_path_labels": "labelers",
+    "snake_supported": "labelers",
+    "CoprimeMatching": "numtheory",
+    "bertrand_prime": "numtheory",
+    "coprime_matching": "numtheory",
+    "EXHAUSTED": "search",
+    "FOUND": "search",
+    "INCONCLUSIVE": "search",
+    "SearchConfig": "search",
+    "SearchOutcome": "search",
+    "brute_force_oracle": "search",
+    "find_labeling": "search",
+    "kernel_name": "search",
+    "ConjectureReport": "treescan",
+    "ahu_canonical": "treescan",
+    "enumerate_free_trees": "treescan",
+    "enumerate_free_trees_by_extension": "treescan",
+    "scan_conjecture": "treescan",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    """Import the submodule that defines ``name`` and cache the value here,
+    so later reads are plain module attributes (PEP 562)."""
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name)) from None
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value

@@ -22,7 +22,6 @@ from .search import (
     SearchConfig,
     find_labeling,
 )
-from .treescan import scan_conjecture
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -97,6 +96,9 @@ def _cmd_search(ns) -> int:
 
 
 def _cmd_scan_trees(ns) -> int:
+    # Imported here so that the other commands do not pay for the scan module.
+    from .treescan import scan_conjecture
+
     cfg = SearchConfig(node_budget=ns.budget)
     report = scan_conjecture(ns.max_n, cfg)
     sys.stdout.write(report.table())

@@ -8,15 +8,13 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .errors import InvalidSpec, UsageError
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Tagged parameter record selecting one graph family.
 
     ``kind`` is the family name used by the CLI grammar; ``args`` are its

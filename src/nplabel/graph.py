@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import LabelingInvalid, UsageError
 
@@ -73,15 +72,13 @@ class Graph:
         return "Graph(n=%d, m=%d)" % (self.n, self.m)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     vertex: int
     neighbor_labels: Tuple[int, ...]
     gcd_value: int
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     ok: bool
     violations: Tuple[Violation, ...]
     checked_count: int

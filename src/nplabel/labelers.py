@@ -22,6 +22,7 @@ from .graph import (Graph, Labeling, bfs_dist, check_vertex, contract, is_tree,
 from .families import (
     FamilySpec,
     snake_base_vertex,
+    snake_graph,
     snake_vertex_count,
 )
 from .numtheory import bertrand_prime, coprime_matching
@@ -179,8 +180,6 @@ def label_star_gon(k: int, n: int) -> List[int]:
         )
     if n < 3:
         raise InvalidSpec("star-gon requires n >= 3, got n=%d" % n)
-    from .families import snake_graph
-
     g = snake_graph(k, n + 1)
     f = label_snake(k, n + 1)
     _, labels = contract_one_max(g, f, 1, g.n)

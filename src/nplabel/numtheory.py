@@ -11,8 +11,7 @@ the even x take every odd y and no other odd x takes one.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import UsageError
 
@@ -57,15 +56,17 @@ def bertrand_prime(n: int) -> int:
     _extend_sieve(2 * n)
     i = bisect_right(_primes, n)
     p = _primes[i]
-    assert p <= 2 * n, "Bertrand's postulate violated at n=%d" % n
+    if p > 2 * n:
+        raise RuntimeError("Bertrand's postulate violated at n=%d" % n)
     return p
 
 
-@dataclass(frozen=True)
-class CoprimeMatching:
+class CoprimeMatching(NamedTuple):
     """Bijection {1..n} -> {2n+1..3n} with gcd(x, map(x)) = 1.
 
-    ``pairs[x-1]`` is the partner of x.
+    ``m[x]`` and ``pairs[x-1]`` are the partner of x.  Indexing is by x, not
+    by field: the fields are read by name, which does not go through
+    ``__getitem__``.
     """
 
     n: int
@@ -166,13 +167,13 @@ def coprime_matching(n: int) -> CoprimeMatching:
     free_mask = full
     for x in range(1, n + 1):
         avail = full
-        ok = augment(x)
-        assert ok, "no perfect coprime matching at n=%d; %s" % (
-            n,
-            "pinning x = 1 to y = 2n+1 left none, and the pin is checked "
-            "on data, not proved" if n % 2
-            else "this would falsify the Pomerance-Selfridge theorem",
-        )
+        if not augment(x):
+            raise RuntimeError("no perfect coprime matching at n=%d; %s" % (
+                n,
+                "pinning x = 1 to y = 2n+1 left none, and the pin is checked "
+                "on data, not proved" if n % 2
+                else "this would falsify the Pomerance-Selfridge theorem",
+            ))
 
     unlocked = full
     for x in range(1, n + 1):

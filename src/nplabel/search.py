@@ -8,10 +8,9 @@ labeled with gcd >= 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from math import gcd
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import UsageError
 from .graph import Graph, verify
@@ -31,21 +30,27 @@ def kernel_name() -> str:
     return "pure-python"
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    node_budget: Optional[int] = DEFAULT_BUDGET
-    order: str = ORDER_DEGREE
-    find_all: bool = False
+class SearchConfig(NamedTuple("_SearchConfig", [("node_budget", Optional[int]),
+                                                ("order", str), ("find_all", bool)])):
+    """Settings of one search, checked whenever one is built, by
+    ``_make`` and ``_replace`` too."""
 
-    def __post_init__(self):
-        if self.node_budget is not None and self.node_budget < 1:
+    __slots__ = ()
+
+    def __new__(cls, node_budget: Optional[int] = DEFAULT_BUDGET,
+                order: str = ORDER_DEGREE, find_all: bool = False):
+        if node_budget is not None and node_budget < 1:
             raise UsageError("node_budget must be >= 1 when present")
-        if self.order not in (ORDER_DEGREE, ORDER_NATURAL):
+        if order not in (ORDER_DEGREE, ORDER_NATURAL):
             raise UsageError("order must be %r or %r" % (ORDER_DEGREE, ORDER_NATURAL))
+        return super().__new__(cls, node_budget, order, find_all)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     status: str  # found | exhausted | inconclusive
     labeling: Optional[Tuple[int, ...]]
     nodes_explored: int

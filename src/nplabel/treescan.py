@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
 from itertools import count
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -304,8 +303,7 @@ def _tree_labeling(vertices, stripped, core_labels) -> List[int]:
     return labels
 
 
-@dataclass(frozen=True)
-class SizeResult:
+class SizeResult(NamedTuple):
     n: int
     tree_count: int
     solved_count: int
@@ -317,8 +315,7 @@ class SizeResult:
     core_searches: int = 0  # distinct cores first met, and searched, at this size
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     max_n: int
     rows: Tuple[SizeResult, ...]
 
@@ -378,7 +375,7 @@ def _search_core(core: Graph, code: str, cfg: SearchConfig) -> SearchOutcome:
         if i > 1:
             rng.shuffle(perm)
         g = Graph(core.n, [(perm[u - 1], perm[v - 1]) for u, v in core.edges])
-        outcome = find_labeling(g, replace(cfg, node_budget=cap))
+        outcome = find_labeling(g, SearchConfig(cap, cfg.order, cfg.find_all))
         spent += outcome.nodes_explored
         if outcome.status == FOUND:
             labels = tuple(outcome.labeling[w - 1] for w in perm)
@@ -386,7 +383,7 @@ def _search_core(core: Graph, code: str, cfg: SearchConfig) -> SearchOutcome:
         if outcome.status == EXHAUSTED:
             return SearchOutcome(EXHAUSTED, None, spent)
     rest = None if budget is None else budget - spent
-    outcome = find_labeling(core, replace(cfg, node_budget=rest))
+    outcome = find_labeling(core, SearchConfig(rest, cfg.order, cfg.find_all))
     return SearchOutcome(outcome.status, outcome.labeling, spent + outcome.nodes_explored)
 
 

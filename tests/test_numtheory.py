@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from nplabel import numtheory
 from nplabel.errors import UsageError
 from nplabel.numtheory import (
     CoprimeMatching,
@@ -57,6 +58,13 @@ class TestPrimes:
         with pytest.raises(UsageError):
             bertrand_prime(0)
 
+    def test_bertrand_failure_raises(self, monkeypatch):
+        # a real error, not an assert, so that it survives ``python -O``
+        monkeypatch.setattr(numtheory, "_extend_sieve", lambda limit: None)
+        monkeypatch.setattr(numtheory, "_primes", [2, 3, 5, 7, 97])
+        with pytest.raises(RuntimeError, match="Bertrand's postulate violated at n=10"):
+            bertrand_prime(10)
+
 
 class TestCoprimeMatching:
     def test_frozen_values(self):
@@ -86,6 +94,17 @@ class TestCoprimeMatching:
     def test_guard(self):
         with pytest.raises(UsageError):
             coprime_matching(0)
+
+    @pytest.mark.parametrize("n, why", [
+        (4, "this would falsify the Pomerance-Selfridge theorem"),
+        (5, "pinning x = 1 to y = 2n\\+1 left none"),
+    ])
+    def test_no_matching_raises(self, monkeypatch, n, why):
+        # no x coprime to any y: phase 1 must fail loudly, also under -O
+        monkeypatch.setattr(numtheory, "_coprime_masks", lambda n: [0] * (n + 1))
+        with pytest.raises(RuntimeError, match="no perfect coprime matching at n=%d; %s"
+                           % (n, why)):
+            coprime_matching(n)
 
     def test_record_type(self):
         m = CoprimeMatching(2, (6, 5))

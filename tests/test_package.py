@@ -1,0 +1,182 @@
+"""The package's top-level names, what each import loads, and how the
+records behave.
+
+Top-level names resolve on first use (``nplabel.__getattr__``), so a caller
+pays only for the submodules it reads; the records are NamedTuples, which
+need neither ``dataclasses`` nor ``inspect``."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import nplabel
+from nplabel import treescan  # a submodule, not a name in __all__
+from nplabel.errors import UsageError
+from nplabel.families import FamilySpec
+from nplabel.graph import VerificationReport, Violation
+from nplabel.numtheory import CoprimeMatching
+from nplabel.search import SearchConfig, SearchOutcome
+from nplabel.treescan import ConjectureReport, SizeResult, scan_conjecture
+
+SRC = os.path.dirname(os.path.dirname(nplabel.__file__))
+
+# Every top-level name, by the submodule that defines it.
+EXPORTS = {
+    "errors": ("InvalidSpec", "LabelingInvalid", "NPLabelError", "ParseError",
+               "PreconditionViolated", "UnsupportedParameters",
+               "UnsupportedStructure", "UsageError"),
+    "graph": ("Graph", "VerificationReport", "Violation", "gcd_of", "is_tree",
+              "neighborhood", "verify"),
+    "families": ("FamilySpec", "generate", "parse_family", "random_tree"),
+    "labelers": ("HEAD_MIN", "INTERIOR_MIN", "contract_one_max", "extend_pendant",
+                 "label_banana", "label_bivalent_free", "label_book", "label_book5",
+                 "label_caterpillar", "label_firecracker", "label_full_binary",
+                 "label_gear", "label_mobius", "label_path", "label_snake",
+                 "label_spider", "label_star_gon", "shifted_path_labels",
+                 "snake_supported"),
+    "numtheory": ("CoprimeMatching", "bertrand_prime", "coprime_matching"),
+    "search": ("EXHAUSTED", "FOUND", "INCONCLUSIVE", "SearchConfig", "SearchOutcome",
+               "brute_force_oracle", "find_labeling", "kernel_name"),
+    "treescan": ("ConjectureReport", "ahu_canonical", "enumerate_free_trees",
+                 "enumerate_free_trees_by_extension", "scan_conjecture"),
+}
+
+
+def loaded_by(statement):
+    """Modules that ``statement`` adds to ``sys.modules`` in a fresh
+    interpreter."""
+    script = ("import json, sys\n"
+              "before = set(sys.modules)\n"
+              "%s\n"
+              "print(json.dumps(sorted(set(sys.modules) - before)))\n" % statement)
+    out = subprocess.run([sys.executable, "-c", script], check=True, text=True,
+                         capture_output=True, env=dict(os.environ, PYTHONPATH=SRC))
+    return set(json.loads(out.stdout))
+
+
+class TestImportFootprint:
+    def test_scan_loads_only_what_it_uses(self):
+        loaded = loaded_by("from nplabel import search, treescan")
+        assert {"nplabel.search", "nplabel.treescan"} <= loaded
+        unused = {"nplabel.families", "nplabel.labelers", "nplabel.numtheory",
+                  "nplabel.fileio", "nplabel.cli", "dataclasses", "inspect"}
+        assert not loaded & unused
+
+    def test_cli_defers_the_scan(self):
+        loaded = loaded_by("import nplabel.cli")
+        assert "nplabel.labelers" in loaded
+        assert "nplabel.treescan" not in loaded
+        assert not loaded & {"dataclasses", "inspect"}
+
+    def test_package_loads_no_submodule(self):
+        loaded = loaded_by("import nplabel")
+        assert "nplabel" in loaded
+        assert not [m for m in loaded if m.startswith("nplabel.")]
+
+
+class TestExports:
+    def test_names_pinned(self):
+        assert len(nplabel.__all__) == 54
+        assert nplabel.__all__ == sorted(n for names in EXPORTS.values() for n in names)
+
+    @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items()
+                                              for n in names])
+    def test_name_is_the_submodule_object(self, module, name):
+        defined = getattr(importlib.import_module("nplabel." + module), name)
+        assert getattr(nplabel, name) is defined
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from nplabel import *", namespace)
+        assert set(nplabel.__all__) <= set(namespace)
+        assert all(namespace[n] is getattr(nplabel, n) for n in nplabel.__all__)
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            nplabel.no_such_name
+        with pytest.raises(ImportError):
+            exec("from nplabel import no_such_name", {})
+
+
+RECORDS = [
+    (Violation(2, (4, 6), 2), "vertex"),
+    (VerificationReport(True, (), 3), "ok"),
+    (FamilySpec("gear", (7,)), "args"),
+    (CoprimeMatching(2, (6, 5)), "pairs"),
+    (SearchConfig(), "node_budget"),
+    (SearchOutcome("found", (1, 2), 2), "status"),
+    (SizeResult(1, 1, 1, (), (), 0.0), "nodes"),
+    (ConjectureReport(1, ()), "rows"),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record, field", RECORDS,
+                             ids=[type(r).__name__ for r, _ in RECORDS])
+    def test_fields_are_read_only(self, record, field):
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.new_attribute = None
+        assert getattr(record, field) == before
+
+    def test_search_config_checks(self):
+        with pytest.raises(UsageError, match="node_budget must be >= 1 when present"):
+            SearchConfig(node_budget=0)
+        with pytest.raises(UsageError, match="order must be 'degree' or 'natural'"):
+            SearchConfig(order="x")
+        with pytest.raises(UsageError, match="node_budget"):
+            SearchConfig()._replace(node_budget=0)
+        assert SearchConfig(None) == (None, "degree", False)
+        assert SearchConfig(5)._replace(find_all=True) == SearchConfig(5, "degree", True)
+
+    def test_family_spec_repr(self):
+        assert repr(FamilySpec("gear", (7,))) == "FamilySpec(kind='gear', args=(7,))"
+
+    def test_search_config_repr(self):
+        assert repr(SearchConfig()) == (
+            "SearchConfig(node_budget=10000000, order='degree', find_all=False)")
+
+    def test_defaults(self):
+        assert SearchOutcome("exhausted", None, 5).all_solutions is None
+        row = SizeResult(3, 1, 1, (), (), 0.5)
+        assert (row.failure_graphs, row.nodes, row.core_searches) == ((), 0, 0)
+
+    def test_scan_rows_unchanged(self, monkeypatch):
+        # every restart's config is built by the checking constructor
+        built = []
+
+        def checked(*args):
+            cfg = SearchConfig(*args)
+            built.append(cfg)
+            return cfg
+
+        monkeypatch.setattr(treescan, "SearchConfig", checked)
+        rows = [(r.n, r.tree_count, r.solved_count, r.failures, r.inconclusive,
+                 r.failure_graphs, r.nodes, r.core_searches)
+                for r in scan_conjecture(12).rows]
+        assert rows == [
+            (1, 1, 1, (), (), (), 1, 1),
+            (2, 1, 1, (), (), (), 2, 1),
+            (3, 1, 1, (), (), (), 3, 1),
+            (4, 2, 2, (), (), (), 4, 1),
+            (5, 3, 3, (), (), (), 5, 1),
+            (6, 6, 6, (), (), (), 8, 1),
+            (7, 11, 11, (), (), (), 18, 2),
+            (8, 23, 23, (), (), (), 26, 2),
+            (9, 47, 47, (), (), (), 43, 4),
+            (10, 106, 106, (), (), (), 95, 6),
+            (11, 235, 235, (), (), (), 128, 10),
+            (12, 551, 551, (), (), (), 632, 16),
+        ]
+        assert len(built) >= 46  # at least one search per distinct core
+        assert all(type(cfg) is SearchConfig for cfg in built)
+
+    def test_equal_to_plain_tuple(self):
+        assert FamilySpec("gear", (7,)) == ("gear", (7,))
+        assert Violation(2, (4, 6), 2) == (2, (4, 6), 2)

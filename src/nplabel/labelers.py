@@ -8,7 +8,6 @@ property is what the test suite hammers on.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import List, Sequence, Tuple
 
 from .errors import (
@@ -17,8 +16,8 @@ from .errors import (
     UnsupportedParameters,
     UnsupportedStructure,
 )
-from .graph import (Graph, Labeling, bfs_dist, check_vertex, contract, is_tree,
-                    verify, with_pendant)
+from .graph import (Graph, Labeling, check_vertex, contract, is_tree, verify,
+                    with_pendant)
 from .families import (
     FamilySpec,
     snake_base_vertex,
@@ -143,7 +142,7 @@ def label_snake(k: int, n: int) -> List[int]:
         return labels
     if not _polygonal_case(k, n):
         raise UnsupportedParameters(
-            "no constructive labeling for snake k=%d, n=%d; try the searcher" % (k, n)
+            "no constructive labeling for snake k=%d, n=%d" % (k, n)
         )
     return label_path(m)
 
@@ -314,97 +313,85 @@ def label_firecracker(n: int, k: int) -> List[int]:
     return labels
 
 
-def _leaf_path(t: Graph, core: List[int], visited: set) -> List[int]:
-    """Extend the path ``core`` to a leaf at both ends: mark it visited,
-    then walk from ``core[0]``, then from ``core[-1]``, each step taking
-    the lowest-numbered unvisited neighbour (the first in the sorted
-    ``t.adj``) and marking it.  In a tree the first walk never reaches
-    the second's start, even when ``core`` is a single vertex."""
-    visited.update(core)
-    sides = []
-    for end in (core[0], core[-1]):
-        side = [end]
-        for v in side:
-            for u in t.adj[v]:
-                if u not in visited:
-                    visited.add(u)
-                    side.append(u)
-                    break
-        sides.append(side[1:])
-    return sides[0][::-1] + core + sides[1]
-
-
-def _initial_leaf_path(t: Graph) -> List[int]:
-    """Pick the first leaf-to-leaf path: through the lowest non-leaf when the
-    tree has no degree-2 vertices, else through all of them (or fail)."""
-    adj = t.adj
-    deg2 = [v for v in range(1, t.n + 1) if len(adj[v]) == 2]
-    if not deg2:
-        v1 = min(v for v in range(1, t.n + 1) if len(adj[v]) >= 2)
-        return _leaf_path(t, [v1], set())
-    dist = bfs_dist(t, deg2[0])
-    d1 = min(deg2, key=lambda v: (-dist[v], v))
-    dist1 = bfs_dist(t, d1)
-    d2 = min(deg2, key=lambda v: (-dist1[v], v))
-    core = [d2]  # walk back to d1: one neighbour per step is nearer to it
-    while core[-1] != d1:
-        core.append(next(u for u in adj[core[-1]] if dist1[u] < dist1[core[-1]]))
-    core.reverse()
-    if not set(deg2).issubset(core):
-        raise UnsupportedStructure(
-            "degree-2 vertices do not fit on a single leaf-to-leaf path"
-        )
-    return _leaf_path(t, core, set())
-
-
 def label_bivalent_free(t: Graph) -> List[int]:
-    """Label a tree whose degree-2 vertices (if any) all sit on one
-    leaf-to-leaf path: cover the non-leaves with edge-disjoint leaf-to-leaf
-    paths, path labels on the first, shifted path labels on the rest, and
-    leftover labels on the off-path leaves.
+    """Label a tree by a partition of its vertices into paths in which
+    every non-leaf is interior to its own path: each path takes a block of
+    interior-min shifted path labels, and the leaves on no path take the
+    labels left over.  A tree with no such partition raises
+    UnsupportedStructure.
 
-    Every non-leaf ends up interior to some covered path, so its
-    neighborhood contains two consecutive labels.
+    Correctness: a non-leaf at position i of its path has its path
+    neighbours at positions i-1 and i+1, whose labels are consecutive, so
+    its neighborhood gcd is 1.
 
-    In a tree each queued anchor borders exactly one covered vertex, and
-    each later path stays in its own anchor's uncovered component, so an
-    anchor is queued once and is still uncovered when it is taken.
+    The partition is a choice of edges, exactly 2 at each non-leaf and at
+    most 1 at each leaf.  Rooted at its lowest non-leaf, the tree is solved
+    exactly by one bottom-up pass that records whether each vertex's
+    parent edge is never, optionally or always chosen, and one top-down
+    pass that reads each path off from its top vertex, choosing the forced
+    child edges first, then optional ones in ``t.adj`` order.
     """
     if not is_tree(t):
         raise UnsupportedStructure("input is not a tree")
-    if t.n <= 2:
-        return list(range(1, t.n + 1))
+    n = t.n
+    if n <= 2:
+        return list(range(1, n + 1))
     adj = t.adj
-    labels = [0] * t.n
-    p1 = _initial_leaf_path(t)
-    for pos, v in enumerate(label_path(len(p1))):
-        labels[p1[pos] - 1] = v
-    visited = set(p1)
-    total = len(p1)
-    queue = deque()
-
-    def enqueue_neighbors(path):
-        for x in path[1:-1]:
-            for u in adj[x]:
-                if u not in visited and len(adj[u]) > 1:
-                    queue.append(u)
-
-    enqueue_neighbors(p1)
-    while queue:
-        v = queue.popleft()
-        if sum(u not in visited for u in adj[v]) < 2:
-            raise UnsupportedStructure(
-                "vertex %d cannot anchor a leaf-to-leaf path" % v
-            )
-        path = _leaf_path(t, [v], visited)
-        for pos, lab in enumerate(shifted_path_labels(INTERIOR_MIN, total, len(path))):
-            labels[path[pos] - 1] = lab
-        total += len(path)
-        enqueue_neighbors(path)
-    leftover = [v for v in range(1, t.n + 1) if v not in visited]
-    for v in leftover:
+    root = next(v for v in range(1, n + 1) if len(adj[v]) > 1)
+    parent = [0] * (n + 1)
+    order = [root]
+    for v in order:
+        for u in adj[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    must = [False] * (n + 1)  # v's subtree forces its parent edge on a path
+    may = [True] * (n + 1)  # v's subtree allows its parent edge on a path
+    lo = [0] * (n + 1)  # the number of v's child edges that must be chosen
+    hi = [0] * (n + 1)  # the number that may be
+    for v in reversed(order):
         if len(adj[v]) > 1:
-            raise UnsupportedStructure("non-leaf vertex %d left uncovered" % v)
+            must[v] = not lo[v] <= 2 <= hi[v]
+            may[v] = v != root and lo[v] <= 1 <= hi[v]
+            if must[v] and not may[v]:
+                raise UnsupportedStructure(
+                    "vertex %d cannot be interior to a path" % v)
+        lo[parent[v]] += must[v]
+        hi[parent[v]] += may[v]
+    tops = [root]
+
+    def pick(v, k):
+        # v's k path children: the forced ones and the first optional ones
+        # in adj order; the other non-leaf children start paths of their own
+        picked = []
+        spare = k - lo[v]
+        for u in adj[v]:
+            if u == parent[v]:
+                continue
+            if must[u]:
+                picked.append(u)
+            elif may[u] and spare:
+                spare -= 1
+                picked.append(u)
+            elif len(adj[u]) > 1:
+                tops.append(u)
+        return picked
+
+    labels = [0] * n
+    total = 0
+    for top in tops:
+        sides = []
+        for u in pick(top, 2):
+            side = [u]
+            for x in side:
+                if len(adj[x]) > 1:
+                    side += pick(x, 1)
+            sides.append(side)
+        path = sides[0][::-1] + [top] + sides[1]
+        for x, lab in zip(path, shifted_path_labels(INTERIOR_MIN, total, len(path))):
+            labels[x - 1] = lab
+        total += len(path)
+    leftover = [v for v in range(1, n + 1) if not labels[v - 1]]
     for lab, v in enumerate(leftover, total + 1):
         labels[v - 1] = lab
     return labels
@@ -492,7 +479,6 @@ def label_family(spec: FamilySpec, g: Graph) -> List[int]:
     """
     if spec.kind not in _LABELERS:
         raise UnsupportedParameters(
-            "no constructive labeler for family %r; use the 'search' command"
-            % spec.kind
+            "no constructive labeler for family %r" % spec.kind
         )
     return _LABELERS[spec.kind](spec.args, g)

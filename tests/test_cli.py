@@ -93,6 +93,14 @@ class TestLabel:
         assert code == EXIT_ERROR
         assert "search" in err
 
+    @pytest.mark.parametrize("spec", ["snake:6,4", "cycle:5", "randomtree:5,1"])
+    def test_search_hint_given_once(self, capsys, spec):
+        code, out, err = run(capsys, "label", "--family", spec)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.count("search") == 1
+        assert err.endswith(" (fallback: nplabel search)\n")
+
 
 class TestVerify:
     def test_ok(self, capsys, tmp_path):

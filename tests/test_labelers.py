@@ -455,7 +455,35 @@ class TestLabelBivalentFree:
         trees = [t for n in range(1, 13) for t in enumerate_free_trees(n)]
         assert len(trees) == 987
         assert outcome_digest(label_bivalent_free, trees) == (
-            736, "61fa3e3b0ea18b3ab0ff593a5f4a0ec404e9bb096994fa92f59cedfe9ac20fe7")
+            821, "2d36fd0d16bdd5b22dcd182f77a9720d21e28542e2b3c8937a0603304b55f89a")
+
+    def test_labeled_count_per_size(self):
+        # the free trees with a path partition in which every non-leaf is
+        # interior, for n = 1..14; every labeling built verifies
+        counts = []
+        for n in range(1, 15):
+            labeled = 0
+            for t in enumerate_free_trees(n):
+                try:
+                    f = label_bivalent_free(t)
+                except UnsupportedStructure:
+                    continue
+                assert verify(t, f).ok
+                labeled += 1
+            counts.append(labeled)
+        assert counts == [1, 1, 1, 2, 3, 6, 10, 21, 41, 91, 195, 449, 1031, 2453]
+
+    def test_degree2_vertices_on_different_paths(self):
+        # degree-2 vertices 3, 6 and 8 lie on no single leaf-to-leaf path,
+        # but the paths 4-3-2-5, 7-6-1-8-9 cover every non-leaf as interior
+        g = Graph(9, [(1, 2), (1, 6), (1, 8), (2, 3), (2, 5), (3, 4), (6, 7),
+                      (8, 9)])
+        assert verify(g, label_bivalent_free(g)).ok
+
+    def test_no_partition_message(self):
+        with pytest.raises(UnsupportedStructure,
+                           match="^vertex 1 cannot be interior to a path$"):
+            label_bivalent_free(spider_graph([2, 2, 2]))
 
 
 class TestLabelFullBinary:
@@ -486,7 +514,7 @@ class TestLabelFullBinary:
     def test_complete_tree_outputs_pinned(self):
         graphs = [complete_binary_graph(n) for n in range(1, 301)]
         assert outcome_digest(label_full_binary, graphs) == (
-            300, "08d86f4e9001512ad36fa2dd0aa34745506e3784d559b4f20b6cc82dcfd609dd")
+            300, "72ec33e8b97aaa2901d1dbe13b30a6a429c664f6f0e6b33a037cecf55e589851")
 
     def test_delegation_checks_connectivity_once(self, monkeypatch):
         # the parent scan proves a graph with n - 1 edges is a tree, so only

@@ -39,68 +39,50 @@ def ahu_canonical(t: Graph) -> str:
     """Canonical string of a free tree: AHU encoding rooted at the center
     (for bicentral trees, the center whose string is least)."""
     _require_tree(t, "ahu_canonical")
-    return _canonical_rooting(t.adj, [len(a) for a in t.adj])[0]
+    return _canonical_rooting(t.adj)[0]
 
 
 def tree_centers(t: Graph) -> List[int]:
     """The 1 or 2 centers of a tree, by iterative leaf stripping."""
     _require_tree(t, "tree_centers")
-    return _canonical_rooting(t.adj, [len(a) for a in t.adj])[1]
+    return _canonical_rooting(t.adj)[1]
 
 
-def _canonical_rooting(adj, degree):
-    """AHU string, sorted centers and canonical BFS order of the tree on
-    the vertices of nonzero ``degree`` (vertex 1 alone if there are none),
-    whose edges are those of ``adj`` between such vertices.
+def _canonical_rooting(adj):
+    """AHU string and sorted centers of the tree ``adj``.
 
     Leaves are stripped layer by layer until the center or the two centers
     are left; each stripped vertex's string is built from its children's,
-    which are already stripped.  Sorting the children as (string, vertex)
-    pairs also fixes their order in the BFS.  The tree is rooted at the
-    lower center unless the other center's string, worked out from the two
-    centers' children, is strictly smaller."""
+    which are already stripped.  With two centers the string is the lesser
+    of the two rootings, each worked out from the two centers' children."""
     n = len(adj) - 1
-    degree = list(degree)
+    degree = [len(a) for a in adj]
     code: List[Optional[str]] = [None] * (n + 1)
-    kids: List[List[int]] = [[]] * (n + 1)
 
     def encode(v, above=()):
-        pairs = [(code[u], u) for u in adj[v] if code[u] is not None]
-        pairs.extend(above)
-        pairs.sort()
-        return "(" + "".join([c for c, _ in pairs]) + ")", [u for _, u in pairs]
+        codes = [code[u] for u in adj[v] if code[u] is not None]
+        codes.extend(above)
+        codes.sort()
+        return "(" + "".join(codes) + ")"
 
     layer = [v for v in range(1, n + 1) if degree[v] == 1] or [1]
-    left = n + 1 - degree.count(0)  # degree[0] is 0
+    left = n
     while left > 2:
         left -= len(layer)
         nxt = []
         for v in layer:
-            code[v], kids[v] = encode(v)
+            code[v] = encode(v)
             for u in adj[v]:
-                if code[u] is None and degree[u]:  # the parent
+                if code[u] is None:  # the parent
                     degree[u] -= 1
                     if degree[u] == 1:
                         nxt.append(u)
         layer = nxt
     centers = sorted(layer)
-    root = centers[0]
     if len(centers) == 1:
-        top, kids[root] = encode(root)
-    else:
-        other = centers[1]
-        (low, low_kids), (high, high_kids) = encode(root), encode(other)
-        top, kids[root] = encode(root, [(high, other)])
-        flipped, flipped_kids = encode(other, [(low, root)])
-        if flipped < top:
-            kids[root], kids[other] = low_kids, flipped_kids
-            root, top = other, flipped
-        else:
-            kids[other] = high_kids
-    order = [root]
-    for v in order:
-        order.extend(kids[v])
-    return top, centers, order
+        return encode(centers[0]), centers
+    low, high = centers
+    return min(encode(low, [encode(high)]), encode(high, [encode(low)])), centers
 
 
 # -- primary generator: Wright-Richmond-Odlyzko-McKay -------------------------
@@ -216,22 +198,6 @@ def crosscheck_tree_counts(max_n: int) -> List[Tuple[int, int, int]]:
 # -- conjecture scan ---------------------------------------------------------
 
 
-class PendantCore(NamedTuple):
-    """A tree's irreducible core under the pendant lemma, canonically
-    numbered: core vertex i+1 is tree vertex ``vertices[i]``."""
-
-    tree: Graph
-    code: str  # AHU code of the core; isomorphic cores share it
-    vertices: Tuple[int, ...]
-    stripped: Tuple[int, ...]  # leaves removed, in removal order
-
-    @property
-    def graph(self) -> Graph:
-        """The core in its canonical numbering; built on demand, since a
-        scan needs it only for cores it has not yet searched."""
-        return _induced(self.tree, self.vertices)
-
-
 def _induced(t: Graph, vertices) -> Graph:
     """The subgraph of t on ``vertices``, vertex i+1 being ``vertices[i]``."""
     rank = {v: i for i, v in enumerate(vertices, 1)}
@@ -240,20 +206,23 @@ def _induced(t: Graph, vertices) -> Graph:
 
 
 def _strip_leaves(t: Graph):
-    """(degree, stripped, kept, shape): strip each leaf whose neighbour has
-    degree >= 3, in vertex order.
+    """(stripped, kept, shape): strip each leaf whose neighbour has
+    degree >= 3, in vertex order, leaving the tree's pendant core.
 
     Stripping leaves the neighbour with degree >= 2, so it never makes a new
-    leaf and one pass over the leaves suffices.  ``degree`` is the core's,
-    with 0 for a stripped leaf; ``stripped`` lists the leaves removed, in
-    removal order, and ``kept`` the other vertices, in vertex order.
+    leaf and one pass over the leaves suffices.  ``stripped`` lists the
+    leaves removed, in removal order, and ``kept`` the other vertices, in
+    vertex order; the core is ``_induced(t, kept)``.  By the pendant lemma
+    (``labelers.extend_pendant``) any labeling of the core extends to the
+    tree (``_tree_labeling``).
+
     ``shape`` is the tuple of the kept vertices' levels below vertex 1,
     taking ``adj[v][0]`` as the parent of v >= 2.  On a tree numbered in
     preorder, as ``enumerate_free_trees`` numbers it, that is the parent
     and ``shape`` is the level sequence of the rooted core: trees with the
-    same shape have the same rooted core, kept vertex i of one being kept
-    vertex i of the other.  (A stripped leaf is nobody's parent unless it
-    is vertex 1, and then its one child roots the core.)  On any other
+    same shape have the identical core Graph, kept vertex i of one being
+    kept vertex i of the other.  (A stripped leaf is nobody's parent unless
+    it is vertex 1, and then its one child roots the core.)  On any other
     numbering ``shape`` means nothing."""
     adj = t.adj
     degree = [len(a) for a in adj]
@@ -271,24 +240,7 @@ def _strip_leaves(t: Graph):
                 level[w] = level[a[0]] + 1
             kept.append(w)
             shape.append(level[w])
-    return degree, stripped, kept, tuple(shape)
-
-
-def pendant_core(t: Graph) -> PendantCore:
-    """Strip leaves whose neighbour has degree >= 3 until none is left
-    (``_strip_leaves``), and number what remains by BFS from its canonical
-    AHU root, children in order of their AHU code, so that isomorphic cores
-    are the identical Graph.
-
-    The core is encoded on ``t`` itself, with the stripped leaves' degree
-    set to 0; its Graph is built only when ``PendantCore.graph`` asks for
-    it.  By the pendant lemma (``labelers.extend_pendant``) any labeling of
-    the core extends to the tree: the stripped leaves take the labels above
-    the core's, last removed first."""
-    _require_tree(t, "pendant_core")
-    degree, stripped, _, _ = _strip_leaves(t)
-    code, _, order = _canonical_rooting(t.adj, degree)
-    return PendantCore(t, code, tuple(order), tuple(stripped))
+    return stripped, kept, tuple(shape)
 
 
 def _tree_labeling(vertices, stripped, core_labels) -> List[int]:
@@ -312,7 +264,7 @@ class SizeResult(NamedTuple):
     seconds: float
     failure_graphs: Tuple[Graph, ...] = ()
     nodes: int = 0  # search nodes spent at this size, core and full-tree searches
-    core_searches: int = 0  # distinct cores first met, and searched, at this size
+    core_searches: int = 0  # core shapes first met, and searched, at this size
 
 
 class ConjectureReport(NamedTuple):
@@ -348,17 +300,17 @@ def _luby(i: int) -> int:
     return 1 << (k - 1)
 
 
-def _search_core(core: Graph, code: str, cfg: SearchConfig) -> SearchOutcome:
+def _search_core(core: Graph, cfg: SearchConfig) -> SearchOutcome:
     """Search a core with restarts on the Luby schedule, then completely.
 
     Restart i is ``find_labeling`` with ``cfg``'s settings but a cap of
     ``_luby(i) * RESTART_UNIT`` nodes, on the core renumbered by a
     permutation, so that the vertex order breaks its ties differently:
     the identity first (the plain search), then shuffles drawn from
-    ``random.Random(code)``, a seed that does not depend on
+    ``random.Random(repr(core.edges))``, a seed that does not depend on
     ``PYTHONHASHSEED``.  The restarts stop once their caps would pass half
     the node budget (half of ``DEFAULT_BUDGET`` when it is unlimited); a
-    complete search in canonical numbering then gets the rest, so
+    complete search in the core's own numbering then gets the rest, so
     Exhausted and Inconclusive mean what they mean for ``find_labeling``.
     Any search that ends Found or Exhausted settles the core.
     ``nodes_explored`` counts every search."""
@@ -366,7 +318,7 @@ def _search_core(core: Graph, code: str, cfg: SearchConfig) -> SearchOutcome:
     half = (DEFAULT_BUDGET if budget is None else budget) // 2
     spent = capped = 0
     perm = list(range(1, core.n + 1))
-    rng = random.Random(code)
+    rng = random.Random(repr(core.edges))
     for i in count(1):
         cap = _luby(i) * RESTART_UNIT
         capped += cap
@@ -395,24 +347,20 @@ def scan_conjecture(
     canonical encoding and graph.
 
     The trees stream from ``enumerate_free_trees`` and are settled one at a
-    time, so memory does not grow with the number of trees.  Each distinct
-    pendant core (``pendant_core``) is searched once per call by
-    ``_search_core`` (randomized restarts, then a complete search), and its
-    labeling is extended to every tree that has it and verified.
+    time, so memory does not grow with the number of trees.  Each tree's
+    leaves are stripped (``_strip_leaves``); the pendant core that is left
+    is searched by ``_search_core`` (randomized restarts, then a complete
+    search), and its labeling is extended to the tree and verified.
 
-    Two memos, both spanning sizes, keep the per-tree work small.  The
-    first is keyed by the core's rooted shape (``_strip_leaves``), which
-    the strip loop yields at no extra cost since the trees come numbered
-    in preorder; it holds the outcome and the core labels in kept-vertex
-    order, so a tree whose shape was met before takes its labels straight
-    from it.  Only a new shape is encoded by ``pendant_core``, whose AHU
-    code keys the second memo, that of the searches: isomorphic cores
-    rooted differently share one search.  A tree
-    whose core search is exhausted gets the full search of the tree
-    itself, so Exhausted always comes from a full-tree search; so does a
-    tree that had leaves stripped and whose core search is inconclusive.
-    An irreducible tree is its own core, so an inconclusive core search
-    is its result.
+    One memo, spanning sizes, holds each core's search outcome, keyed by
+    the core's rooted shape, which the strip loop yields at no extra cost
+    since the trees come numbered in preorder.  Trees with the same shape
+    have the identical core Graph, so each shape's core is searched once
+    and its labels serve every tree with that shape.  A tree whose core
+    search is exhausted gets the full search of the tree itself, so
+    Exhausted always comes from a full-tree search; so does a tree that had
+    leaves stripped and whose core search is inconclusive.  An irreducible
+    tree is its own core, so an inconclusive core search is its result.
 
     The scan needs one labeling per tree, so ``cfg.find_all`` is refused.
     ``jobs`` accepts only 1.  It is kept for existing callers that pass
@@ -423,12 +371,9 @@ def scan_conjecture(
         raise UsageError("the scan is serial; jobs must be 1, got %r" % (jobs,))
     if cfg.find_all:
         raise UsageError("the scan needs one labeling per tree; find_all must be off")
-    # Both memos span sizes, since a core met at one size recurs among
-    # larger trees; they are local to one call.
-    # core code -> outcome of its search
-    memo: Dict[str, SearchOutcome] = {}
-    # core shape -> (outcome, core labels in kept-vertex order if Found)
-    shapes: Dict[Tuple[int, ...], Tuple[SearchOutcome, Optional[Tuple[int, ...]]]] = {}
+    # core shape -> outcome of the core's search; it spans sizes, since a
+    # core met at one size recurs among larger trees, and is local to one call
+    memo: Dict[Tuple[int, ...], SearchOutcome] = {}
     rows = []
     for n in range(1, max_n + 1):
         start = time.perf_counter()
@@ -436,23 +381,14 @@ def scan_conjecture(
         failed, inconclusive = [], []
         for t in enumerate_free_trees(n):
             tree_count += 1
-            _, stripped, kept, shape = _strip_leaves(t)
-            entry = shapes.get(shape)
-            if entry is None:
-                c = pendant_core(t)
-                outcome = memo.get(c.code)
-                if outcome is None:
-                    outcome = memo[c.code] = _search_core(c.graph, c.code, cfg)
-                    nodes += outcome.nodes_explored
-                    core_searches += 1
-                core_labels = None
-                if outcome.status == FOUND:
-                    label_of = dict(zip(c.vertices, outcome.labeling))
-                    core_labels = tuple([label_of[v] for v in kept])
-                entry = shapes[shape] = (outcome, core_labels)
-            outcome, core_labels = entry
+            stripped, kept, shape = _strip_leaves(t)
+            outcome = memo.get(shape)
+            if outcome is None:
+                outcome = memo[shape] = _search_core(_induced(t, kept), cfg)
+                nodes += outcome.nodes_explored
+                core_searches += 1
             if outcome.status == FOUND:
-                labels = _tree_labeling(kept, stripped, core_labels)
+                labels = _tree_labeling(kept, stripped, outcome.labeling)
             elif outcome.status == EXHAUSTED or stripped:
                 outcome = find_labeling(t, cfg)
                 nodes += outcome.nodes_explored

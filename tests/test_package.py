@@ -164,17 +164,17 @@ class TestRecords:
             (1, 1, 1, (), (), (), 1, 1),
             (2, 1, 1, (), (), (), 2, 1),
             (3, 1, 1, (), (), (), 3, 1),
-            (4, 2, 2, (), (), (), 4, 1),
+            (4, 2, 2, (), (), (), 6, 1),
             (5, 3, 3, (), (), (), 5, 1),
-            (6, 6, 6, (), (), (), 8, 1),
-            (7, 11, 11, (), (), (), 18, 2),
-            (8, 23, 23, (), (), (), 26, 2),
-            (9, 47, 47, (), (), (), 43, 4),
-            (10, 106, 106, (), (), (), 95, 6),
-            (11, 235, 235, (), (), (), 128, 10),
-            (12, 551, 551, (), (), (), 632, 16),
+            (6, 6, 6, (), (), (), 12, 1),
+            (7, 11, 11, (), (), (), 16, 2),
+            (8, 23, 23, (), (), (), 21, 2),
+            (9, 47, 47, (), (), (), 56, 4),
+            (10, 106, 106, (), (), (), 182, 8),
+            (11, 235, 235, (), (), (), 142, 10),
+            (12, 551, 551, (), (), (), 1011, 22),
         ]
-        assert len(built) >= 46  # at least one search per distinct core
+        assert len(built) >= 54  # at least one search per core shape
         assert all(type(cfg) is SearchConfig for cfg in built)
 
     def test_equal_to_plain_tuple(self):

@@ -25,7 +25,6 @@ from nplabel.treescan import (
     crosscheck_tree_counts,
     enumerate_free_trees,
     enumerate_free_trees_by_extension,
-    pendant_core,
     scan_conjecture,
     tree_centers,
 )
@@ -87,29 +86,6 @@ def reference_centers(t):
     return [v for v in ecc if ecc[v] == min(ecc.values())]
 
 
-def reference_core(t):
-    """Slow reference for ``pendant_core``: (code, vertices, stripped), with
-    the core built as a Graph and numbered by BFS from the least rooting,
-    children in order of their string, ties by vertex."""
-    degree = [len(a) for a in t.adj]
-    stripped = []
-    for w in range(1, t.n + 1):
-        if degree[w] == 1 and degree[t.adj[w][0]] >= 3:
-            degree[t.adj[w][0]] -= 1
-            stripped.append(w)
-    kept = [v for v in range(1, t.n + 1) if v not in stripped]
-    rank = {v: i for i, v in enumerate(kept, 1)}
-    core = Graph(len(kept), [(rank[u], rank[v]) for u, v in t.edges
-                             if u in rank and v in rank])
-    code, root, codes, parent = min(reference_rooted_encoding(core, c)
-                                    for c in reference_centers(core))
-    order = [root]
-    for v in order:
-        order.extend(sorted((u for u in core.adj[v] if parent[u] == v),
-                            key=codes.__getitem__))
-    return code, tuple(kept[v - 1] for v in order), tuple(stripped)
-
-
 class TestAhuCanonical:
     def test_relabelled_path_identical(self):
         p3 = Graph(3, [(1, 2), (2, 3)])
@@ -135,8 +111,8 @@ class TestAhuCanonical:
             ahu_canonical(Graph(3, [(1, 2), (2, 3), (1, 3)]))
 
     def test_golden_strings(self):
-        # the string is the scan's memo key and the seed of its restarts,
-        # so any drift changes the scan's node counts
+        # the string names the scan's failed and inconclusive trees and
+        # deduplicates the extension generator
         assert ahu_canonical(Graph(1, [])) == "()"
         assert ahu_canonical(Graph(4, [(1, 2), (2, 3), (3, 4)])) == "((())())"
         # bicentral, centers 1 and 2: rooted at 1 the string is
@@ -146,21 +122,25 @@ class TestAhuCanonical:
         assert ahu_canonical(spur) == "((()())())"
 
     def test_golden_core(self):
-        # the costliest core of scan_conjecture(14), met here through a
-        # relabelled copy with one leaf hung on a degree-2 vertex
+        # a 14-vertex core met through a relabelled copy with one leaf hung
+        # on a degree-2 vertex; the core keeps the tree's numbering, whose
+        # edge list seeds the restarts
         code = "((((()))((())))(((()))(())))"
         edges = {(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7), (4, 8),
                  (5, 9), (6, 10), (7, 11), (8, 12), (9, 13), (10, 14)}
-        t = Graph(15, [(15 - u, 15 - v) for u, v in edges] + [(14, 15)])
-        core = pendant_core(t)
-        assert core.code == code and core.stripped == (15,)
-        assert core.graph.edges == tuple(sorted(edges))
-        assert treescan._search_core(core.graph, code, SearchConfig()).nodes_explored == 602
+        relabelled = [(15 - u, 15 - v) for u, v in edges]
+        t = Graph(15, relabelled + [(14, 15)])
+        stripped, kept, _ = treescan._strip_leaves(t)
+        assert (stripped, kept) == ([15], list(range(1, 15)))
+        core = treescan._induced(t, kept)
+        assert core == Graph(14, relabelled)
+        assert ahu_canonical(core) == code
+        assert treescan._search_core(core, SearchConfig()).nodes_explored == 121
 
 
 class TestEncoderAgainstReference:
-    """The one encoder (leaf stripping, degree-masked pendant cores, the
-    second center worked out from the first) against the slow reference."""
+    """The one encoder (leaf stripping, the second center worked out from
+    the first) against the slow reference."""
 
     def sample(self):
         for n in range(1, 13):
@@ -182,14 +162,6 @@ class TestEncoderAgainstReference:
             if len(codes) == 2:
                 second_wins += codes[1] < codes[0]
                 ties += codes[1] == codes[0]
-            core = pendant_core(t)
-            assert (core.code, core.vertices, core.stripped) == reference_core(t)
-            graph = core.graph
-            assert core.code == ahu_canonical(graph)
-            again = pendant_core(graph)
-            assert again.stripped == ()
-            assert again.vertices == tuple(range(1, graph.n + 1))
-            assert again.code == core.code
         assert second_wins and ties
 
 
@@ -207,7 +179,7 @@ class TestTreeCenters:
         Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),  # C4
         Graph(4, [(1, 2), (3, 4)]),  # disconnected
     ])
-    @pytest.mark.parametrize("fn", [ahu_canonical, tree_centers, pendant_core])
+    @pytest.mark.parametrize("fn", [ahu_canonical, tree_centers])
     def test_non_trees_rejected(self, fn, g):
         with pytest.raises(UsageError, match="^%s requires a tree$" % fn.__name__):
             fn(g)
@@ -308,24 +280,27 @@ class TestScanConjecture:
         assert events == [(kind, t) for t in trees for kind in ("tree", "verify")]
 
     def test_core_encoded_once_per_shape(self, monkeypatch):
-        # the shape memo sends only the 158 distinct rooted cores up to 14
-        # vertices to pendant_core; every tree is still verified
+        # the memo sends only the 158 distinct rooted cores up to 14
+        # vertices to _search_core; every tree is still verified
         cores, verified = [], []
+        search_core = treescan._search_core
 
-        def stripping(t):
-            cores.append(t)
-            return pendant_core(t)
+        def searching(core, cfg):
+            cores.append(core)
+            return search_core(core, cfg)
 
         def verifying(t, labels):
             verified.append(t)
             return verify(t, labels)
 
-        monkeypatch.setattr(treescan, "pendant_core", stripping)
+        monkeypatch.setattr(treescan, "_search_core", searching)
         monkeypatch.setattr(treescan, "verify", verifying)
         report = scan_conjecture(14)
         assert sum(r.tree_count for r in report.rows) == 5447
         assert (len(cores), len(verified)) == (158, 5447)
-        assert len({treescan._strip_leaves(t)[3] for t in cores}) == 158
+        # each core is irreducible, and no two are the same graph
+        assert not any(treescan._strip_leaves(core)[0] for core in cores)
+        assert len(set(cores)) == 158
 
     def test_table_output(self):
         text = scan_conjecture(3).table()
@@ -346,33 +321,24 @@ class TestPendantCore:
     def test_irreducible_counts(self):
         # trees that are their own core: no leaf hangs on a vertex of degree >= 3
         counts = {
-            n: sum(pendant_core(t).graph.n == n for t in enumerate_free_trees(n))
+            n: sum(not treescan._strip_leaves(t)[0] for t in enumerate_free_trees(n))
             for n in (12, 13, 14, 15)
         }
         assert counts == {12: 16, 13: 29, 14: 49, 15: 89}
 
     def test_star_reduces_to_path(self):
         star = Graph(6, [(1, v) for v in range(2, 7)])
-        core = pendant_core(star)
-        assert core.graph == Graph(3, [(1, 2), (1, 3)])
-        assert len(core.stripped) == 3 and core.vertices[0] == 1
-
-    def test_isomorphic_trees_share_core_graph(self):
-        rng = random.Random(11)
-        for n in (6, 10, 14, 20):
-            for seed in range(10):
-                g = random_tree(n, seed)
-                perm = list(range(1, n + 1))
-                rng.shuffle(perm)
-                a, b = pendant_core(g), pendant_core(permuted(g, perm))
-                assert a.graph == b.graph and a.code == b.code
+        stripped, kept, _ = treescan._strip_leaves(star)
+        assert (stripped, kept) == ([2, 3, 4], [1, 5, 6])
+        assert treescan._induced(star, kept) == Graph(3, [(1, 2), (1, 3)])
 
     def test_core_labeling_extends_to_tree(self):
         for n in range(1, 12):
             for t in enumerate_free_trees(n):
-                core = pendant_core(t)
+                stripped, kept, _ = treescan._strip_leaves(t)
+                core = treescan._induced(t, kept)
                 labels = treescan._tree_labeling(
-                    core.vertices, core.stripped, find_labeling(core.graph).labeling)
+                    kept, stripped, find_labeling(core).labeling)
                 assert verify(t, labels).ok
 
 
@@ -385,24 +351,18 @@ class TestShapeKey:
                     assert t.adj[v][0] < v and all(u > v for u in t.adj[v][1:])
 
     def test_same_shape_same_core(self):
-        # trees that share a shape have isomorphic cores, and kept vertex i
-        # of one is kept vertex i of the other
+        # the memo keeps one search per shape: trees that share a shape
+        # build the identical core Graph in kept-vertex numbering
         first = {}
         pairs = 0
         for n in range(1, 14):
             for t in enumerate_free_trees(n):
-                _, stripped, kept, shape = treescan._strip_leaves(t)
-                core = pendant_core(t)
-                assert list(core.stripped) == stripped
-                assert sorted(core.vertices) == kept
-                edges = {(u, v) for u, v in t.edges if u in kept and v in kept}
+                _, kept, shape = treescan._strip_leaves(t)
+                core = treescan._induced(t, kept)
                 if shape not in first:
-                    first[shape] = (core.code, kept, edges)
+                    first[shape] = core
                     continue
-                code, kept0, edges0 = first[shape]
-                assert core.code == code
-                to_first = dict(zip(kept, kept0))
-                assert {(to_first[u], to_first[v]) for u, v in edges} == edges0
+                assert core == first[shape]
                 pairs += 1
         # 2,288 trees to 13 vertices have 86 distinct shapes
         assert (len(first), pairs) == (86, 2288 - 86)
@@ -459,14 +419,11 @@ class TestScanReduction:
 
     def test_each_core_searched_once(self):
         report = scan_conjecture(14)
-        # every core is an irreducible tree, first met at its own size
+        # one search per rooted core shape, at the size where it is first met
         assert [r.core_searches for r in report.rows] == [
-            1, 1, 1, 1, 1, 1, 2, 2, 4, 6, 10, 16, 29, 49]
-        # cores are canonically numbered and restarts are seeded by the
-        # core's code, so the search work does not depend on which
-        # generator produced the trees
+            1, 1, 1, 1, 1, 1, 2, 2, 4, 8, 10, 22, 32, 72]
         assert [r.nodes for r in report.rows] == [
-            1, 2, 3, 4, 5, 8, 18, 26, 43, 95, 128, 632, 883, 4258]
+            1, 2, 3, 6, 5, 12, 16, 21, 56, 182, 142, 1011, 1013, 3791]
 
     def test_irreducible_tree_searched_once(self, monkeypatch):
         # an irreducible tree is its own core: an inconclusive core search
@@ -482,7 +439,7 @@ class TestScanReduction:
         assert any(r.inconclusive for r in report.rows)
         irreducible = [ahu_canonical(t) for n in range(1, 9)
                        for t in enumerate_free_trees(n)
-                       if not pendant_core(t).stripped]
+                       if not treescan._strip_leaves(t)[0]]
         assert [searched.count(code) for code in irreducible] == [1] * len(irreducible)
 
 
@@ -494,7 +451,7 @@ class TestRestarts:
         assert not any(r.inconclusive or r.failures for r in report.rows)
 
     def test_scans_repeat_exactly(self):
-        # the restart seed is the core's AHU code, which does not depend
+        # the restart seed is the core's edge list, which does not depend
         # on the interpreter's string hash seed
         script = ("from nplabel.treescan import scan_conjecture; "
                   "print([r.nodes for r in scan_conjecture(13).rows])")

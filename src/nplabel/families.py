@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from itertools import chain, repeat
 from typing import NamedTuple, Sequence, Tuple
 
 from .errors import InvalidSpec, UsageError
@@ -30,13 +31,18 @@ class FamilySpec(NamedTuple):
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise InvalidSpec("path requires n >= 1, got %d" % n)
-    return Graph(n, [(i, i + 1) for i in range(1, n)])
+    return Graph(n, _path_edges(1, n))
+
+
+def _path_edges(first: int, last: int):
+    """The edges (i, i + 1) of the path first..last, as an iterator."""
+    return zip(range(first, last), range(first + 1, last + 1))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InvalidSpec("cycle requires n >= 3, got %d" % n)
-    return Graph(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
+    return Graph(n, chain(_path_edges(1, n), [(1, n)]))
 
 
 def gear_graph(n: int) -> Graph:
@@ -44,9 +50,9 @@ def gear_graph(n: int) -> Graph:
     odd-indexed rim vertices 3, 5, ..., 2n+1."""
     if n < 3:
         raise InvalidSpec("gear requires n >= 3, got %d" % n)
-    edges = [(i, i + 1) for i in range(2, 2 * n + 1)] + [(2, 2 * n + 1)]
-    edges += [(1, 2 * i + 1) for i in range(1, n + 1)]
-    return Graph(2 * n + 1, edges)
+    rim = 2 * n + 1
+    return Graph(rim, chain(_path_edges(2, rim), [(2, rim)],
+                            zip(repeat(1), range(3, rim + 1, 2))))
 
 
 def snake_vertex_count(k: int, n: int) -> int:
@@ -69,8 +75,10 @@ def snake_graph(k: int, n: int) -> Graph:
 
 
 def _snake_edges(k: int, n: int):
-    base = [snake_base_vertex(k, j) for j in range(1, n + 1)]
-    return [(i, i + 1) for i in range(1, base[-1])] + list(zip(base, base[1:]))
+    """The trace path's edges, then the base chords u_j u_{j+1}."""
+    last = snake_base_vertex(k, n)
+    return chain(_path_edges(1, last),
+                 zip(range(1, last, k - 1), range(k, last + 1, k - 1)))
 
 
 def star_gon_graph(k: int, n: int) -> Graph:
@@ -81,7 +89,7 @@ def star_gon_graph(k: int, n: int) -> Graph:
     if n < 3:
         raise InvalidSpec("star-gon requires n >= 3, got n=%d" % n)
     m = snake_vertex_count(k, n + 1)
-    return Graph(m - 1, [(u, v) if v < m else (1, u) for u, v in _snake_edges(k, n + 1)])
+    return Graph(m - 1, ((u, v) if v < m else (1, u) for u, v in _snake_edges(k, n + 1)))
 
 
 def book_graph(k: int, n: int) -> Graph:
@@ -91,12 +99,14 @@ def book_graph(k: int, n: int) -> Graph:
         raise InvalidSpec("book requires k in {3,4,5}, got k=%d" % k)
     if n < 1:
         raise InvalidSpec("book requires n >= 1, got n=%d" % n)
-    edges = [(1, 2)]
-    for i in range(n):
-        page = [3 + i * (k - 2) + j for j in range(k - 2)]
-        chain = [1] + page + [2]
-        edges += list(zip(chain, chain[1:]))
-    return Graph(2 + n * (k - 2), edges)
+
+    def edges():
+        yield 1, 2
+        for first in range(3, 3 + n * (k - 2), k - 2):
+            page = (1, *range(first, first + k - 2), 2)
+            yield from zip(page, page[1:])
+
+    return Graph(2 + n * (k - 2), edges())
 
 
 def mobius_graph(n: int) -> Graph:
@@ -104,11 +114,9 @@ def mobius_graph(n: int) -> Graph:
     edges plus the two cross edges v_1 u_n and u_1 v_n."""
     if n < 3:
         raise InvalidSpec("mobius requires n >= 3, got %d" % n)
-    edges = [(i, i + 1) for i in range(1, n)]
-    edges += [(n + i, n + i + 1) for i in range(1, n)]
-    edges += [(i, n + i) for i in range(1, n + 1)]
-    edges += [(n, n + 1), (1, 2 * n)]
-    return Graph(2 * n, edges)
+    return Graph(2 * n, chain(_path_edges(1, n), _path_edges(n + 1, 2 * n),
+                              zip(range(1, n + 1), range(n + 1, 2 * n + 1)),
+                              [(n, n + 1), (1, 2 * n)]))
 
 
 def caterpillar_graph(pendant_counts: Sequence[int]) -> Graph:
@@ -118,14 +126,9 @@ def caterpillar_graph(pendant_counts: Sequence[int]) -> Graph:
     if any(c < 0 for c in counts):
         raise InvalidSpec("pendant counts must be nonnegative")
     s = len(counts) + 2
-    edges = [(i, i + 1) for i in range(1, s)]
-    nxt = s + 1
-    for j, c in enumerate(counts):
-        spine_v = j + 2
-        for _ in range(c):
-            edges.append((spine_v, nxt))
-            nxt += 1
-    return Graph(nxt - 1, edges)
+    n = s + sum(counts)
+    spine = chain.from_iterable(repeat(v, c) for v, c in enumerate(counts, start=2))
+    return Graph(n, chain(_path_edges(1, s), zip(spine, range(s + 1, n + 1))))
 
 
 def spider_graph(leg_lengths: Sequence[int]) -> Graph:
@@ -135,15 +138,15 @@ def spider_graph(leg_lengths: Sequence[int]) -> Graph:
         raise InvalidSpec("spider requires >= 3 legs, got %d" % len(lengths))
     if any(l < 1 for l in lengths):
         raise InvalidSpec("spider legs must have length >= 1")
-    edges = []
-    nxt = 2
-    for l in lengths:
-        prev = 1
-        for _ in range(l):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return Graph(nxt - 1, edges)
+
+    def edges():
+        first = 2
+        for l in lengths:
+            yield 1, first
+            yield from _path_edges(first, first + l - 1)
+            first += l
+
+    return Graph(1 + sum(lengths), edges())
 
 
 def banana_graph(n: int, k: int) -> Graph:
@@ -153,13 +156,15 @@ def banana_graph(n: int, k: int) -> Graph:
         raise InvalidSpec("banana requires n >= 1, got n=%d" % n)
     if k < 3:
         raise InvalidSpec("banana requires k >= 3, got k=%d" % k)
-    edges = []
-    for i in range(n):
-        u = 2 + i * k
-        w = u + 1
-        edges += [(1, u), (u, w)]
-        edges += [(w, leaf) for leaf in range(w + 1, u + k)]
-    return Graph(n * k + 1, edges)
+
+    def edges():
+        for u in range(2, 2 + n * k, k):
+            w = u + 1
+            yield 1, u
+            yield u, w
+            yield from zip(repeat(w), range(w + 1, u + k))
+
+    return Graph(n * k + 1, edges())
 
 
 def firecracker_graph(n: int, k: int) -> Graph:
@@ -170,38 +175,39 @@ def firecracker_graph(n: int, k: int) -> Graph:
         raise InvalidSpec("firecracker requires n >= 1, got n=%d" % n)
     if k < 1:
         raise InvalidSpec("firecracker requires k >= 1, got k=%d" % k)
-    edges = [(i, i + 1) for i in range(1, n)]
-    if k >= 2:
-        edges += [(i, n + i) for i in range(1, n + 1)]
-    if k >= 3:
-        edges += [(n + i, 2 * n + i) for i in range(1, n + 1)]
-        nxt = 3 * n + 1
-        for i in range(1, n + 1):
-            for _ in range(k - 3):
-                edges.append((n + i, nxt))
-                nxt += 1
-    return Graph(n * k, edges)
+
+    def edges():
+        yield from _path_edges(1, n)
+        if k >= 2:
+            yield from zip(range(1, n + 1), range(n + 1, 2 * n + 1))
+        if k >= 3:
+            yield from zip(range(n + 1, 2 * n + 1), range(2 * n + 1, 3 * n + 1))
+            centers = chain.from_iterable(repeat(v, k - 3) for v in range(n + 1, 2 * n + 1))
+            yield from zip(centers, range(3 * n + 1, n * k + 1))
+
+    return Graph(n * k, edges())
 
 
 def _rooted_tree_from_pattern(child_counts):
     """Build a level-order numbered rooted tree; child_counts[i] children for
-    node i+1, children ids assigned consecutively in processing order."""
-    edges = []
-    nxt = 2
-    for v, c in enumerate(child_counts, start=1):
-        if v > 1 and v >= nxt:
-            raise InvalidSpec("shape pattern declares unreachable node %d" % v)
-        for _ in range(c):
-            if nxt > len(child_counts):
-                raise InvalidSpec("shape pattern creates more nodes than bits")
-            edges.append((v, nxt))
-            nxt += 1
-    if nxt != len(child_counts) + 1:
-        raise InvalidSpec(
-            "shape pattern inconsistent: %d nodes declared, %d reachable"
-            % (len(child_counts), nxt - 1)
-        )
-    return Graph(len(child_counts), edges)
+    node i+1, children ids assigned consecutively in processing order.  A
+    faulty pattern raises InvalidSpec while Graph reads the edges."""
+    n = len(child_counts)
+
+    def edges():
+        nxt = 2
+        for v, c in enumerate(child_counts, start=1):
+            if v > 1 and v >= nxt:
+                raise InvalidSpec("shape pattern declares unreachable node %d" % v)
+            for _ in range(c):
+                if nxt > n:
+                    raise InvalidSpec("shape pattern creates more nodes than bits")
+                yield v, nxt
+                nxt += 1
+        # every node is reached: a node v >= 2 not yet reached when the loop
+        # meets it is refused as unreachable, so nxt ends at n + 1
+
+    return Graph(n, edges())
 
 
 def _shape_bits(shape: Sequence[int]):
@@ -263,18 +269,18 @@ def tree_from_pruefer(n: int, seq: Sequence[int]) -> Graph:
     degree = [1] * (n + 1)
     for x in seq:
         degree[x] += 1
-    edges = []
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x) if leaf < x else (x, leaf))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u, v = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append((u, v) if u < v else (v, u))
-    return Graph(n, edges)
+
+    def edges():
+        leaves = [v for v in range(1, n + 1) if degree[v] == 1]
+        heapq.heapify(leaves)
+        for x in seq:
+            yield heapq.heappop(leaves), x
+            degree[x] -= 1
+            if degree[x] == 1:
+                heapq.heappush(leaves, x)
+        yield heapq.heappop(leaves), heapq.heappop(leaves)
+
+    return Graph(n, edges())
 
 
 # Each kind's parameter grammar and generator.  Grammar: "i" one integer,

@@ -16,7 +16,6 @@ from .graph import Graph, Labeling, VerificationReport
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format; raises ParseError with a line number."""
     header = None
-    edges = []
     seen = set()
     n = m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -46,12 +45,11 @@ def parse_edge_list(text: str) -> Graph:
         if (u, v) in seen:
             raise ParseError("duplicate edge (%d,%d)" % (u, v), lineno)
         seen.add((u, v))
-        edges.append((u, v))
     if header is None:
         raise ParseError("missing header line")
-    if len(edges) != m:
-        raise ParseError("header declares %d edges but %d given" % (m, len(edges)))
-    return Graph(n, edges)
+    if len(seen) != m:
+        raise ParseError("header declares %d edges but %d given" % (m, len(seen)))
+    return Graph(n, seen)
 
 
 def write_edge_list(g: Graph) -> str:

@@ -29,30 +29,40 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         """Validate each edge and append it to both adjacency lists in one
-        pass, then sort each list once; the duplicate check's set is local."""
+        pass, then sort each list and turn it into a tuple in place.
+
+        The Graph keeps nothing of ``edges``, which may be a one-shot
+        iterator: the duplicate check holds one int per edge,
+        ``a * (n + 1) + b`` for the edge (a, b) with a < b, and every
+        adjacency entry is the one int object of its vertex id.  The first
+        faulty edge is reported: a self-loop, then a range error, then a
+        duplicate."""
         if n < 1:
             raise UsageError("vertex count must be positive, got %d" % n)
-        normalized = set()
-        adj = [[] for _ in range(n + 1)]
-        for e in edges:
-            u, v = e
-            # a plain tuple (u, v) with u < v is used as is: one allocation less
-            if v < u or type(e) is not tuple:
-                e = (u, v) if u < v else (v, u)
-            if e in normalized or not 1 <= e[0] < e[1] <= n:
+        vertex = list(range(n + 1))
+        adj = [[] for _ in vertex]
+        seen = set()
+        width = n + 1
+        for u, v in edges:
+            a, b = (u, v) if u < v else (v, u)
+            key = a * width + b
+            # an out-of-range edge may share a key with a valid one, so the
+            # range test comes before the duplicate verdict
+            if key in seen or not 1 <= a < b <= n:
                 if u == v:
                     raise UsageError("self-loop at vertex %d" % u)
                 if not (1 <= u <= n and 1 <= v <= n):
                     raise UsageError("edge (%d,%d) out of range 1..%d" % (u, v, n))
-                raise UsageError("duplicate edge (%d,%d)" % e)
-            normalized.add(e)
-            adj[u].append(v)
-            adj[v].append(u)
-        for nbrs in adj:
+                raise UsageError("duplicate edge (%d,%d)" % (a, b))
+            seen.add(key)
+            adj[a].append(vertex[b])
+            adj[b].append(vertex[a])
+        for v, nbrs in enumerate(adj):
             nbrs.sort()
+            adj[v] = tuple(nbrs)
         self.n = n
-        self.m = len(normalized)
-        self.adj = tuple(map(tuple, adj))
+        self.m = len(seen)
+        self.adj = tuple(adj)
 
     @property
     def edges(self) -> Tuple[Tuple[int, int], ...]:

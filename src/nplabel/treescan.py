@@ -318,7 +318,8 @@ def _search_core(core: Graph, cfg: SearchConfig) -> SearchOutcome:
     half = (DEFAULT_BUDGET if budget is None else budget) // 2
     spent = capped = 0
     perm = list(range(1, core.n + 1))
-    rng = random.Random(repr(core.edges))
+    edges = core.edges  # a property that rebuilds the tuple on each access
+    rng = random.Random(repr(edges))
     for i in count(1):
         cap = _luby(i) * RESTART_UNIT
         capped += cap
@@ -326,7 +327,7 @@ def _search_core(core: Graph, cfg: SearchConfig) -> SearchOutcome:
             break
         if i > 1:
             rng.shuffle(perm)
-        g = Graph(core.n, [(perm[u - 1], perm[v - 1]) for u, v in core.edges])
+        g = Graph(core.n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
         outcome = find_labeling(g, SearchConfig(cap, cfg.order, cfg.find_all))
         spent += outcome.nodes_explored
         if outcome.status == FOUND:

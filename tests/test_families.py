@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from nplabel import families
@@ -323,3 +325,65 @@ class TestSpecParsing:
     def test_generate_deterministic(self):
         spec = parse_family("randomtree:12,3")
         assert generate(spec) == generate(spec)
+
+
+# Specs per kind, small and large, for the digest below; the large ones are
+# sized like the benchmark's members.
+DIGEST_SPECS = {
+    "path": ["path:1", "path:2", "path:5000"],
+    "cycle": ["cycle:3", "cycle:6", "cycle:5000"],
+    "gear": ["gear:3", "gear:7", "gear:2000"],
+    "snake": ["snake:3,2", "snake:4,2", "snake:9,3", "snake:3,500", "snake:200,5"],
+    "stargon": ["stargon:3,3", "stargon:4,3", "stargon:9,5", "stargon:5,300"],
+    "book": ["book:3,1", "book:4,6", "book:5,3", "book:3,500"],
+    "book5": ["book5:1", "book5:500"],
+    "mobius": ["mobius:3", "mobius:6", "mobius:2000"],
+    "caterpillar": ["caterpillar", "caterpillar:0", "caterpillar:3", "caterpillar:0,2,1",
+                    "caterpillar:" + ",".join(str(i % 7) for i in range(300))],
+    "spider": ["spider:1,1,1", "spider:2,2,4,4,4,6", "spider:" + ",".join(["40"] * 50)],
+    "banana": ["banana:1,3", "banana:3,6", "banana:20,50"],
+    "firecracker": ["firecracker:1,1", "firecracker:5,1", "firecracker:5,2", "firecracker:6,3",
+                    "firecracker:4,7", "firecracker:190,5"],
+    "fullbinary": ["fullbinary:0", "fullbinary:100", "fullbinary:1100100"],
+    "kary": ["kary:2,100", "kary:3,1000", "kary:3," + "1" * 121 + "0" * 243],
+    "cayley": ["cayley:3,1000", "cayley:4,11000000"],
+    "completebinary": ["completebinary:1", "completebinary:2", "completebinary:3000"],
+    "randomtree": ["randomtree:1,1", "randomtree:2,1", "randomtree:20,7", "randomtree:500,3"],
+}
+# malformed specs: the shape faults are raised while Graph reads the edges
+FAULTY_SPECS = [
+    "kary:2,1", "kary:2,0110", "fullbinary:10", "fullbinary:1", "fullbinary:1000",
+    "kary:3,1", "cayley:3,1", "cayley:3,10000", "kary:1,10", "completebinary:0",
+    "path:0", "cycle:2", "gear:2", "snake:2,3", "snake:3,1", "stargon:3,2", "book:6,2",
+    "book:3,0", "mobius:2", "caterpillar:-1", "spider:1,1", "spider:1,0,1", "banana:0,3",
+    "banana:2,2", "firecracker:0,2", "firecracker:2,0", "randomtree:0,1",
+]
+
+
+# pinned when the generators built edge lists; streaming them must not
+# change a graph, an exception type or a message
+GRAPHS_DIGEST = "a79ee868af6e43f782b24032efe6e4129ca15f0bc7482e063c11bdc1823d6abe"
+FAULTS_DIGEST = "cf8ed7a0d79943c190cf9d579c3c1140067eed15345dce7be60edbac08ce7013"
+
+
+class TestDigest:
+    """Every kind's graphs and every fault, pinned by one digest each."""
+
+    def test_every_kind_swept(self):
+        assert set(DIGEST_SPECS) == set(families._FAMILIES)
+
+    def test_graphs(self):
+        h = hashlib.sha256()
+        for kind in sorted(DIGEST_SPECS):
+            for text in DIGEST_SPECS[kind]:
+                g = generate(parse_family(text))
+                h.update(repr((text, g.n, g.m, g.adj)).encode())
+        assert h.hexdigest() == GRAPHS_DIGEST
+
+    def test_faults(self):
+        h = hashlib.sha256()
+        for text in FAULTY_SPECS:
+            with pytest.raises((InvalidSpec, UsageError)) as info:
+                generate(parse_family(text))
+            h.update(repr((text, type(info.value).__name__, str(info.value))).encode())
+        assert h.hexdigest() == FAULTS_DIGEST

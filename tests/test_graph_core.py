@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 from collections import namedtuple
 from functools import reduce
 
@@ -20,6 +22,20 @@ from nplabel.graph import (
     verify,
     with_pendant,
 )
+
+
+# the first faulty edge is reported, and a self-loop outranks a range error
+# on the same edge
+FIRST_FAULTS = [
+    (3, [(1, 2), (2, 1), (3, 3)], "duplicate edge (1,2)"),
+    (3, [(3, 3), (1, 2), (2, 1)], "self-loop at vertex 3"),
+    (3, [(5, 5)], "self-loop at vertex 5"),
+    (3, [(0, 0)], "self-loop at vertex 0"),
+    (3, [(2, 1), (4, 1), (1, 2)], "edge (4,1) out of range 1..3"),
+    (3, [(0, 2)], "edge (0,2) out of range 1..3"),
+    (4, [(3, 2), (1, 4), (2, 3)], "duplicate edge (2,3)"),
+    (3, [(1, 2), (2, 1), (1, 4)], "duplicate edge (1,2)"),
+]
 
 
 def P(n):
@@ -47,21 +63,46 @@ class TestGraph:
         with pytest.raises(UsageError, match=r"^vertex count must be positive, got 0$"):
             Graph(0, [])
 
-    @pytest.mark.parametrize("n, edges, message", [
-        # the first faulty edge is reported, and a self-loop outranks a
-        # range error on the same edge
-        (3, [(1, 2), (2, 1), (3, 3)], "duplicate edge (1,2)"),
-        (3, [(3, 3), (1, 2), (2, 1)], "self-loop at vertex 3"),
-        (3, [(5, 5)], "self-loop at vertex 5"),
-        (3, [(0, 0)], "self-loop at vertex 0"),
-        (3, [(2, 1), (4, 1), (1, 2)], "edge (4,1) out of range 1..3"),
-        (3, [(0, 2)], "edge (0,2) out of range 1..3"),
-        (4, [(3, 2), (1, 4), (2, 3)], "duplicate edge (2,3)"),
-    ])
+    @pytest.mark.parametrize("n, edges, message", FIRST_FAULTS)
     def test_first_fault_reported(self, n, edges, message):
         with pytest.raises(UsageError) as info:
             Graph(n, edges)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("n, edges, message", FIRST_FAULTS)
+    def test_first_fault_reported_one_shot(self, n, edges, message):
+        with pytest.raises(UsageError) as info:
+            Graph(n, iter(edges))
+        assert str(info.value) == message
+
+    def test_keeps_nothing_of_its_input(self):
+        class Edge(list):  # unlike a tuple, a list subclass takes weakrefs
+            pass
+
+        n = 600
+        rng = random.Random(20261019)
+        pairs = {(rng.randint(1, n), rng.randint(1, n)) for _ in range(3 * n)}
+        pairs = [(u, v) for u, v in pairs if u < v]
+        refs = []
+
+        def edges():
+            for u, v in pairs:
+                # int(str(.)) makes a fresh int object for every id above 256
+                e = Edge([int(str(v)), int(str(u))])
+                refs.append(weakref.ref(e))
+                yield e
+
+        g = Graph(n, edges())
+        gc.collect()
+        assert len(refs) == g.m == len(pairs)
+        assert all(ref() is None for ref in refs)
+        assert g.edges == tuple(sorted(pairs))
+        objects = {}
+        for nbrs in g.adj:
+            for w in nbrs:
+                objects.setdefault(w, set()).add(id(w))
+        assert max(objects) > 256
+        assert all(len(ids) == 1 for ids in objects.values())
 
     def test_adjacency_sorted(self):
         g = Graph(4, [(2, 4), (2, 3), (1, 2)])

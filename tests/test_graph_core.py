@@ -1,14 +1,18 @@
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 from collections import namedtuple
 from functools import reduce
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from nplabel.errors import LabelingInvalid, UsageError
+from nplabel.families import (gear_graph, snake_graph, snake_vertex_count,
+                               star_gon_graph)
 from nplabel.graph import (
     Graph,
     contract,
@@ -36,6 +40,41 @@ FIRST_FAULTS = [
     (4, [(3, 2), (1, 4), (2, 3)], "duplicate edge (2,3)"),
     (3, [(1, 2), (2, 1), (1, 4)], "duplicate edge (1,2)"),
 ]
+
+
+def two_pass_reference(n, edges):
+    # the earlier constructor: validate into a set, then fill the
+    # adjacency from the sorted edge set
+    normalized = set()
+    for u, v in edges:
+        e = (u, v) if u < v else (v, u)
+        if u == v:
+            raise UsageError("self-loop at vertex %d" % u)
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise UsageError("edge (%d,%d) out of range 1..%d" % (u, v, n))
+        if e in normalized:
+            raise UsageError("duplicate edge (%d,%d)" % e)
+        normalized.add(e)
+    adj = [[] for _ in range(n + 1)]
+    for u, v in sorted(normalized):
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(sorted(normalized)), tuple(map(tuple, adj))
+
+
+def hub_graphs():
+    """(name, n, edges, hub) for graphs whose hub's list is long: stars
+    centred at 1 and at n, gears and complete graphs, so the duplicate test
+    scans the other endpoint's list in one orientation and the hub's in the
+    other."""
+    for n in (2, 3, 9, 40):
+        yield "star1:%d" % n, n, [(1, v) for v in range(2, n + 1)], 1
+        yield "starn:%d" % n, n, [(v, n) for v in range(1, n)], n
+    for k in (3, 4, 12):
+        g = gear_graph(k)
+        yield "gear:%d" % k, g.n, list(g.edges), 1
+    for n in range(2, 31):
+        yield "K%d" % n, n, list(combinations(range(1, n + 1), 2)), n
 
 
 def P(n):
@@ -151,25 +190,6 @@ class TestGraph:
             assert all(type(e) is tuple and e[0] < e[1] for e in g.edges)
 
     def test_matches_two_pass_reference(self):
-        def reference(n, edges):
-            # the earlier constructor: validate into a set, then fill the
-            # adjacency from the sorted edge set
-            normalized = set()
-            for u, v in edges:
-                e = (u, v) if u < v else (v, u)
-                if u == v:
-                    raise UsageError("self-loop at vertex %d" % u)
-                if not (1 <= u <= n and 1 <= v <= n):
-                    raise UsageError("edge (%d,%d) out of range 1..%d" % (u, v, n))
-                if e in normalized:
-                    raise UsageError("duplicate edge (%d,%d)" % e)
-                normalized.add(e)
-            adj = [[] for _ in range(n + 1)]
-            for u, v in sorted(normalized):
-                adj[u].append(v)
-                adj[v].append(u)
-            return tuple(sorted(normalized)), tuple(map(tuple, adj))
-
         rng = random.Random(20261018)
         rejected = 0
         for case in range(300):
@@ -185,7 +205,7 @@ class TestGraph:
                 fault = rng.choice([(1, 1), (n, n + 1), (0, 1)] + edges[:1])
                 edges.insert(rng.randint(0, len(edges)), fault[::rng.choice((1, -1))])
             try:
-                expect = reference(n, edges)
+                expect = two_pass_reference(n, edges)
             except UsageError as exc:
                 rejected += 1
                 with pytest.raises(UsageError) as info:
@@ -195,6 +215,48 @@ class TestGraph:
             g = Graph(n, edges)
             assert (g.edges, g.adj) == expect
         assert rejected == 60
+
+    @pytest.mark.parametrize("name, n, edges, hub", list(hub_graphs()),
+                             ids=[case[0] for case in hub_graphs()])
+    def test_hub_duplicates_match_reference(self, name, n, edges, hub):
+        # a duplicate is looked for in the shorter of its endpoints' lists:
+        # the leaf's for a spoke of a star centred at 1, the hub's for one
+        # centred at n
+        rng = random.Random(name)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(edges)
+        g = Graph(n, edges)
+        assert (g.edges, g.adj) == two_pass_reference(n, edges)
+        spokes = [i for i, e in enumerate(edges) if hub in e]
+        for i in rng.sample(spokes, min(4, len(spokes))):
+            for dup in (edges[i], edges[i][::-1]):
+                injected = [[dup]]
+                for fault in ((hub, n + 1), (0, hub)):
+                    injected += [[dup, fault], [fault, dup]]
+                for faults in injected:
+                    at = rng.randint(i + 1, len(edges))  # after the original
+                    bad = edges[:at] + faults + edges[at:]
+                    with pytest.raises(UsageError) as expect:
+                        two_pass_reference(n, bad)
+                    with pytest.raises(UsageError) as info:
+                        Graph(n, bad)
+                    assert str(info.value) == str(expect.value)
+                    kind = "duplicate" if faults[0] is dup else "edge"
+                    assert str(info.value).startswith(kind)
+
+    def test_build_peaks_near_what_it_keeps(self):
+        # the duplicate check holds no set, so a build allocates little
+        # beyond the adjacency it keeps
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            g = gear_graph(20000)
+            kept, peak = (size - base for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert g.m == 60000
+        assert peak <= 1.6 * kept
 
     def test_equality_and_hash(self):
         a = Graph(3, [(1, 2), (2, 3)])
@@ -386,6 +448,34 @@ class TestStructurePredicates:
 
 
 class TestContract:
+    def test_matches_set_reference(self):
+        # the contraction as the set of remapped edges, looped over g.edges
+        rng = random.Random(20261019)
+        for _ in range(400):
+            n = rng.randint(2, 30)
+            p = rng.random()
+            g = Graph(n, [e for e in combinations(range(1, n + 1), 2)
+                          if rng.random() < p])
+            a, b = rng.sample(range(1, n + 1), 2)
+            keep, remove = min(a, b), max(a, b)
+            remap = {v: v - 1 if v > remove else v for v in range(1, n + 1)}
+            remap[remove] = keep
+            expect = set()
+            for u, v in g.edges:
+                u, v = remap[u], remap[v]
+                if u != v:
+                    expect.add((min(u, v), max(u, v)))
+            h = contract(g, a, b)
+            assert (h.n, h.m, h.edges) == (n - 1, len(expect), tuple(sorted(expect)))
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_contracted_snake_is_star_gon(self, k):
+        for n in (3, 4, 10, 3000):
+            m = snake_vertex_count(k, n + 1)
+            snake = snake_graph(k, n + 1)
+            assert contract(snake, 1, m) == star_gon_graph(k, n)
+            assert contract(snake, m, 1) == star_gon_graph(k, n)
+
     def test_snake_ends_give_triangle_fan(self):
         # two triangles sharing the trace path; merging the end base
         # vertices closes the fan

@@ -9,47 +9,58 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .errors import ParseError
+from .errors import ParseError, UsageError
 from .graph import Graph, Labeling, VerificationReport
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format; raises ParseError with a line number."""
-    header = None
-    seen = set()
-    n = m = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """Parse the edge-list format; raises ParseError with a line number.
+
+    The edges stream into ``Graph``, whose own check finds a duplicate, so
+    the parser holds no set of them."""
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise ParseError("header must be 'n m'", lineno)
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError("header must hold two integers", lineno)
-            if n < 1 or m < 0:
-                raise ParseError("need n >= 1 and m >= 0", lineno)
-            header = lineno
-            continue
         if len(parts) != 2:
-            raise ParseError("edge line must be 'u v'", lineno)
+            raise ParseError("header must be 'n m'", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            n, m = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError("edge endpoints must be integers", lineno)
-        if not (1 <= u < v <= n):
-            raise ParseError("edge (%d,%d) violates 1 <= u < v <= %d" % (u, v, n), lineno)
-        if (u, v) in seen:
-            raise ParseError("duplicate edge (%d,%d)" % (u, v), lineno)
-        seen.add((u, v))
-    if header is None:
+            raise ParseError("header must hold two integers", lineno)
+        if n < 1 or m < 0:
+            raise ParseError("need n >= 1 and m >= 0", lineno)
+        break
+    else:
         raise ParseError("missing header line")
-    if len(seen) != m:
-        raise ParseError("header declares %d edges but %d given" % (m, len(seen)))
-    return Graph(n, seen)
+
+    def edges():
+        nonlocal lineno
+        for lineno, raw in lines:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError("edge line must be 'u v'", lineno)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError("edge endpoints must be integers", lineno)
+            if not (1 <= u < v <= n):
+                raise ParseError("edge (%d,%d) violates 1 <= u < v <= %d" % (u, v, n), lineno)
+            yield u, v
+
+    try:
+        g = Graph(n, edges())
+    except UsageError as exc:
+        # the range test above is stricter than Graph's, so this is a duplicate
+        raise ParseError(str(exc), lineno)
+    if g.m != m:
+        raise ParseError("header declares %d edges but %d given" % (m, g.m))
+    return g
 
 
 def write_edge_list(g: Graph) -> str:

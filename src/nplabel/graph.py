@@ -8,9 +8,9 @@ bijection onto {1..n}.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from functools import reduce
-from itertools import chain
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import LabelingInvalid, UsageError
@@ -29,17 +29,18 @@ class Graph:
     __slots__ = ("n", "m", "adj")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
-        """Validate each edge and append it to both adjacency lists in one
-        pass, then sort each list and turn it into a tuple in place.
+        """Validate each edge and insert it into both adjacency lists, which
+        stay sorted as they grow, then turn each list into a tuple in place.
 
         The Graph keeps nothing of ``edges``, which may be a one-shot
         iterator, and every adjacency entry is the one int object of its
-        vertex id.  An edge is a duplicate iff it is already in the shorter
-        of its two endpoints' lists, so the check holds no set.  The build
-        costs O(sum of min(deg u, deg v) over the edges uv), which is O(m)
-        for the sparse families and trees built here.  Dense input pays
-        for the saved memory: K_n costs O(n^3) instead of O(n^2).  The
-        first faulty edge is reported: a self-loop, then a range error,
+        vertex id.  No set of edges is held: a neighbor above the end of a
+        list is appended, any other is placed by bisection, which also
+        finds a duplicate.  The build costs O(m log maxdeg) comparisons plus
+        the list tails that out-of-order inserts move, which are few for
+        the families and trees built here.  Dense input out of order pays
+        in moves, up to about n^3/2 pointers for K_n, shifted by memmove.
+        The first faulty edge is reported: a self-loop, then a range error,
         then a duplicate."""
         if n < 1:
             raise UsageError("vertex count must be positive, got %d" % n)
@@ -53,13 +54,19 @@ class Graph:
                     raise UsageError("self-loop at vertex %d" % u)
                 raise UsageError("edge (%d,%d) out of range 1..%d" % (u, v, n))
             na, nb = adj[a], adj[b]
-            if (b in na) if len(na) <= len(nb) else (a in nb):
-                raise UsageError("duplicate edge (%d,%d)" % (a, b))
-            na.append(vertex[b])
-            nb.append(vertex[a])
+            if na and na[-1] >= b:
+                i = bisect_left(na, b)
+                if na[i] == b:
+                    raise UsageError("duplicate edge (%d,%d)" % (a, b))
+                na.insert(i, vertex[b])
+            else:
+                na.append(vertex[b])
+            if nb and nb[-1] > a:
+                insort(nb, vertex[a])
+            else:
+                nb.append(vertex[a])
             m += 1
         for v, nbrs in enumerate(adj):
-            nbrs.sort()
             adj[v] = tuple(nbrs)
         self.n = n
         self.m = m
@@ -68,7 +75,7 @@ class Graph:
     @property
     def edges(self) -> Tuple[Tuple[int, int], ...]:
         """Every edge (u, v) with u < v, in ascending order."""
-        return tuple(_edge_pairs(self))
+        return tuple((u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -81,11 +88,6 @@ class Graph:
 
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, self.m)
-
-
-def _edge_pairs(g: Graph):
-    """Every edge (u, v) of g with u < v, in ascending order, one at a time."""
-    return ((u, v) for u, nbrs in enumerate(g.adj) for v in nbrs if u < v)
 
 
 class Violation(NamedTuple):
@@ -189,25 +191,21 @@ def contract(g: Graph, a: int, b: int) -> Graph:
     if a == b:
         raise UsageError("cannot contract a vertex with itself")
     keep, remove = (a, b) if a < b else (b, a)
-    near = set(g.adj[keep])
 
-    def edges():
-        for u, nbrs in enumerate(g.adj):
-            if u == remove:
-                continue  # its edges are met from the other end
-            su = u - 1 if u > remove else u
-            for v in nbrs:
-                if v == remove:
-                    # drop the edge ab and every edge parallel to one at keep
-                    if u != keep and u not in near:
-                        yield keep, su
-                elif u < v:
-                    yield su, v - 1 if v > remove else v
+    def remap(v):
+        if v == remove:
+            return keep
+        return v - 1 if v > remove else v
 
-    return Graph(g.n - 1, edges())
+    edges = set()
+    for u, v in g.edges:
+        u, v = remap(u), remap(v)
+        if u != v:
+            edges.add((u, v) if u < v else (v, u))
+    return Graph(g.n - 1, edges)
 
 
 def with_pendant(g: Graph, v: int) -> Graph:
     """New graph with an extra vertex n+1 attached to v by a pendant edge."""
     check_vertex(g, v)
-    return Graph(g.n + 1, chain(_edge_pairs(g), [(v, g.n + 1)]))
+    return Graph(g.n + 1, list(g.edges) + [(v, g.n + 1)])

@@ -116,14 +116,12 @@ def _second_subtree(levels: List[int]) -> int:
 def _tree_from_levels(levels: List[int]) -> Graph:
     """Tree whose vertex i+1 is position i of the level sequence."""
     last = [0] * (len(levels) + 1)  # latest vertex seen at each level
-
-    def edges():
-        for v, level in enumerate(levels, 1):
-            if level > 1:
-                yield last[level - 1], v
-            last[level] = v
-
-    return Graph(len(levels), edges())
+    edges = []
+    for v, level in enumerate(levels, 1):
+        if level > 1:
+            edges.append((last[level - 1], v))
+        last[level] = v
+    return Graph(len(levels), edges)
 
 
 def enumerate_free_trees(n: int) -> Iterator[Graph]:
@@ -329,7 +327,7 @@ def _search_core(core: Graph, cfg: SearchConfig) -> SearchOutcome:
             break
         if i > 1:
             rng.shuffle(perm)
-        g = Graph(core.n, ((perm[u - 1], perm[v - 1]) for u, v in edges))
+        g = Graph(core.n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
         outcome = find_labeling(g, SearchConfig(cap, cfg.order, cfg.find_all))
         spent += outcome.nodes_explored
         if outcome.status == FOUND:

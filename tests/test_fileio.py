@@ -28,7 +28,7 @@ class TestParseEdgeList:
         with pytest.raises(ParseError) as exc:
             parse_edge_list("3 2\n1 2\n1 2\n")
         assert exc.value.line == 3
-        assert "duplicate" in str(exc.value)
+        assert str(exc.value) == "line 3: duplicate edge (1,2)"
 
     def test_bad_header(self):
         with pytest.raises(ParseError) as exc:

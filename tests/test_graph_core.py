@@ -64,9 +64,9 @@ def two_pass_reference(n, edges):
 
 def hub_graphs():
     """(name, n, edges, hub) for graphs whose hub's list is long: stars
-    centred at 1 and at n, gears and complete graphs, so the duplicate test
-    scans the other endpoint's list in one orientation and the hub's in the
-    other."""
+    centred at 1 and at n, gears and complete graphs, so a spoke's duplicate
+    is looked for in the list of its smaller end: the hub's when the hub is
+    1, the leaf's when it is n."""
     for n in (2, 3, 9, 40):
         yield "star1:%d" % n, n, [(1, v) for v in range(2, n + 1)], 1
         yield "starn:%d" % n, n, [(v, n) for v in range(1, n)], n
@@ -216,15 +216,20 @@ class TestGraph:
             assert (g.edges, g.adj) == expect
         assert rejected == 60
 
+    @pytest.mark.parametrize("order", ["shuffled", "ascending", "descending"])
     @pytest.mark.parametrize("name, n, edges, hub", list(hub_graphs()),
                              ids=[case[0] for case in hub_graphs()])
-    def test_hub_duplicates_match_reference(self, name, n, edges, hub):
-        # a duplicate is looked for in the shorter of its endpoints' lists:
-        # the leaf's for a spoke of a star centred at 1, the hub's for one
-        # centred at n
+    def test_hub_duplicates_match_reference(self, name, n, edges, hub, order):
+        # each list stays sorted as it grows: in ascending order every edge
+        # is appended and a duplicate put right after its original is the
+        # last entry of a list; in descending order every edge goes to the
+        # front; shuffled order mixes both
         rng = random.Random(name)
         edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
-        rng.shuffle(edges)
+        if order == "shuffled":
+            rng.shuffle(edges)
+        else:
+            edges.sort(key=sorted, reverse=order == "descending")
         g = Graph(n, edges)
         assert (g.edges, g.adj) == two_pass_reference(n, edges)
         spokes = [i for i, e in enumerate(edges) if hub in e]
@@ -234,7 +239,8 @@ class TestGraph:
                 for fault in ((hub, n + 1), (0, hub)):
                     injected += [[dup, fault], [fault, dup]]
                 for faults in injected:
-                    at = rng.randint(i + 1, len(edges))  # after the original
+                    # after the original: right after it, or anywhere later
+                    at = rng.choice((i + 1, rng.randint(i + 1, len(edges))))
                     bad = edges[:at] + faults + edges[at:]
                     with pytest.raises(UsageError) as expect:
                         two_pass_reference(n, bad)

@@ -3,12 +3,15 @@
 The search is a pure-Python backtracking kernel over the graph's adjacency:
 depth-first assignment of labels to vertices in a fixed order, pruning a
 branch as soon as some vertex of degree >= 2 has its whole neighborhood
-labeled with gcd >= 2.
+labeled with gcd >= 2.  To find one labeling, ``find_labeling`` restarts
+the kernel on the Luby schedule, each restart breaking the vertex order's
+ties differently, before one complete search.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+import random
+from itertools import count, permutations
 from math import gcd
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -57,22 +60,79 @@ class SearchOutcome(NamedTuple):
     all_solutions: Optional[Tuple[Tuple[int, ...], ...]] = None
 
 
-def find_labeling(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
-    """Depth-first exact search; sound and complete within the node budget.
+RESTART_UNIT = 100  # nodes in one unit of the Luby schedule
 
-    Vertices are assigned in ``cfg.order`` (degree descending then id, or
-    natural) and labels tried in ascending order, so the result is
-    deterministic.  One node is counted per unused label tried; the search
-    stops as Inconclusive on the first node past ``cfg.node_budget`` (None
-    means unlimited).  A branch is pruned as soon as some vertex of degree
-    >= 2 has its whole neighborhood labeled with gcd >= 2.  With
-    ``find_all`` the full solution list is returned; a budget hit during
-    enumeration yields Inconclusive with the partial list.
-    """
-    n, adj, budget = g.n, g.adj, cfg.node_budget
-    order = list(range(1, n + 1))
-    if cfg.order == ORDER_DEGREE:
-        order.sort(key=lambda v: -len(adj[v]))
+
+def _luby(i: int) -> int:
+    """Term i >= 1 of the Luby sequence 1, 1, 2, 1, 1, 2, 4, 1, ...: the
+    universal restart schedule of Luby, Sinclair & Zuckerman (1993)."""
+    k = i.bit_length()
+    while i != (1 << k) - 1:
+        i -= (1 << (k - 1)) - 1
+        k = i.bit_length()
+    return 1 << (k - 1)
+
+
+def find_labeling(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
+    """Exact search; sound and complete within the node budget.
+
+    Vertices are assigned in ``cfg.order`` (degree descending, or natural)
+    and labels tried in ascending order.  One node is counted per unused
+    label tried; a search stops as Inconclusive on the first node past its
+    budget (None means unlimited).  A branch is pruned as soon as some
+    vertex of degree >= 2 has its whole neighborhood labeled with gcd >= 2.
+    With ``find_all`` one depth-first search returns every solution; a
+    budget hit yields Inconclusive with the partial list.
+
+    To find one labeling, the search first restarts: restart i is capped
+    at ``_luby(i) * max(RESTART_UNIT, n)`` nodes (a labeling takes at least
+    n) and breaks the vertex order's ties by a permutation, the identity
+    first, then shuffles drawn from ``random.Random(repr(g.edges))``, a
+    seed that does not depend on ``PYTHONHASHSEED``.  The restarts stop
+    once their caps would pass 1/64 of ``cfg.node_budget`` (of
+    ``DEFAULT_BUDGET`` when unlimited); one complete search, ties broken by
+    vertex id, gets the rest, so Exhausted is a refutation.  The first
+    search to end Found or Exhausted settles the graph; ``nodes_explored``
+    counts every search."""
+    identity = list(range(1, g.n + 1))
+    budget = cfg.node_budget
+    if cfg.find_all:
+        return _backtrack(g, _vertex_order(g, cfg.order, identity), budget, True)
+    share = (DEFAULT_BUDGET if budget is None else budget) // 64
+    unit = max(RESTART_UNIT, g.n)
+    perm, rng = identity[:], None
+    spent = capped = 0
+    for i in count(1):
+        cap = _luby(i) * unit
+        capped += cap
+        if capped > share:
+            break
+        if i > 1:
+            rng = rng or random.Random(repr(g.edges))
+            rng.shuffle(perm)
+        outcome = _backtrack(g, _vertex_order(g, cfg.order, perm), cap, False)
+        spent += outcome.nodes_explored
+        if outcome.status != INCONCLUSIVE:
+            return outcome._replace(nodes_explored=spent)
+    rest = None if budget is None else budget - spent
+    outcome = _backtrack(g, _vertex_order(g, cfg.order, identity), rest, False)
+    return outcome._replace(nodes_explored=spent + outcome.nodes_explored)
+
+
+def _vertex_order(g: Graph, order: str, perm: List[int]) -> List[int]:
+    """The vertices by degree descending (or not at all, for natural
+    order), ties broken by ``perm[v - 1]``."""
+    if order == ORDER_DEGREE:
+        adj = g.adj
+        return sorted(range(1, g.n + 1), key=lambda v: (-len(adj[v]), perm[v - 1]))
+    return sorted(range(1, g.n + 1), key=lambda v: perm[v - 1])
+
+
+def _backtrack(g: Graph, order: List[int], budget: Optional[int],
+               find_all: bool) -> SearchOutcome:
+    """The depth-first kernel: vertices assigned in ``order``, labels tried
+    in ascending order, stopping on the first node past ``budget``."""
+    n, adj = g.n, g.adj
     deg = [len(a) for a in adj]
     nbr_gcd = [0] * (n + 1)  # running gcd of labeled neighbors (0 = none yet)
     rem = deg[:]  # unlabeled-neighbor count
@@ -89,7 +149,7 @@ def find_labeling(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOutcome
     while True:
         if d == n:
             solutions.append(tuple(label_of[1:]))
-            if not cfg.find_all:
+            if not find_all:
                 break
             d -= 1
         else:
@@ -134,7 +194,7 @@ def find_labeling(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOutcome
         status,
         solutions[0] if solutions else None,
         nodes,
-        tuple(solutions) if cfg.find_all else None,
+        tuple(solutions) if find_all else None,
     )
 
 

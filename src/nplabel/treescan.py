@@ -10,21 +10,12 @@ scan relies on.
 
 from __future__ import annotations
 
-import random
 import time
-from itertools import count
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import UsageError
 from .graph import Graph, is_tree, verify, with_pendant
-from .search import (
-    DEFAULT_BUDGET,
-    EXHAUSTED,
-    FOUND,
-    SearchConfig,
-    SearchOutcome,
-    find_labeling,
-)
+from .search import EXHAUSTED, FOUND, SearchConfig, SearchOutcome, find_labeling
 
 MAX_ENUM_N = 18
 
@@ -287,59 +278,6 @@ class ConjectureReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-RESTART_UNIT = 100  # nodes in one unit of the Luby schedule
-
-
-def _luby(i: int) -> int:
-    """Term i >= 1 of the Luby sequence 1, 1, 2, 1, 1, 2, 4, 1, ...: the
-    universal restart schedule of Luby, Sinclair & Zuckerman (1993)."""
-    k = i.bit_length()
-    while i != (1 << k) - 1:
-        i -= (1 << (k - 1)) - 1
-        k = i.bit_length()
-    return 1 << (k - 1)
-
-
-def _search_core(core: Graph, cfg: SearchConfig) -> SearchOutcome:
-    """Search a core with restarts on the Luby schedule, then completely.
-
-    Restart i is ``find_labeling`` with ``cfg``'s settings but a cap of
-    ``_luby(i) * RESTART_UNIT`` nodes, on the core renumbered by a
-    permutation, so that the vertex order breaks its ties differently:
-    the identity first (the plain search), then shuffles drawn from
-    ``random.Random(repr(core.edges))``, a seed that does not depend on
-    ``PYTHONHASHSEED``.  The restarts stop once their caps would pass half
-    the node budget (half of ``DEFAULT_BUDGET`` when it is unlimited); a
-    complete search in the core's own numbering then gets the rest, so
-    Exhausted and Inconclusive mean what they mean for ``find_labeling``.
-    Any search that ends Found or Exhausted settles the core.
-    ``nodes_explored`` counts every search."""
-    budget = cfg.node_budget
-    half = (DEFAULT_BUDGET if budget is None else budget) // 2
-    spent = capped = 0
-    perm = list(range(1, core.n + 1))
-    edges = core.edges  # a property that rebuilds the tuple on each access
-    rng = random.Random(repr(edges))
-    for i in count(1):
-        cap = _luby(i) * RESTART_UNIT
-        capped += cap
-        if capped > half:
-            break
-        if i > 1:
-            rng.shuffle(perm)
-        g = Graph(core.n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
-        outcome = find_labeling(g, SearchConfig(cap, cfg.order, cfg.find_all))
-        spent += outcome.nodes_explored
-        if outcome.status == FOUND:
-            labels = tuple(outcome.labeling[w - 1] for w in perm)
-            return SearchOutcome(FOUND, labels, spent)
-        if outcome.status == EXHAUSTED:
-            return SearchOutcome(EXHAUSTED, None, spent)
-    rest = None if budget is None else budget - spent
-    outcome = find_labeling(core, SearchConfig(rest, cfg.order, cfg.find_all))
-    return SearchOutcome(outcome.status, outcome.labeling, spent + outcome.nodes_explored)
-
-
 def scan_conjecture(
     max_n: int, cfg: SearchConfig = SearchConfig(), jobs: int = 1
 ) -> ConjectureReport:
@@ -350,7 +288,7 @@ def scan_conjecture(
     The trees stream from ``enumerate_free_trees`` and are settled one at a
     time, so memory does not grow with the number of trees.  Each tree's
     leaves are stripped (``_strip_leaves``); the pendant core that is left
-    is searched by ``_search_core`` (randomized restarts, then a complete
+    is searched by ``find_labeling`` (randomized restarts, then a complete
     search), and its labeling is extended to the tree and verified.
 
     One memo, spanning sizes, holds each core's search outcome, keyed by
@@ -385,7 +323,7 @@ def scan_conjecture(
             stripped, kept, shape = _strip_leaves(t)
             outcome = memo.get(shape)
             if outcome is None:
-                outcome = memo[shape] = _search_core(_induced(t, kept), cfg)
+                outcome = memo[shape] = find_labeling(_induced(t, kept), cfg)
                 nodes += outcome.nodes_explored
                 core_searches += 1
             if outcome.status == FOUND:

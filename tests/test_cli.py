@@ -162,6 +162,21 @@ class TestSearch:
         assert code == EXIT_INCONCLUSIVE
         assert out.startswith("INCONCLUSIVE")
 
+    @pytest.mark.parametrize("family, nodes", [
+        ("stargon:6,4", 528), ("stargon:8,4", 4227), ("snake:9,4", 2898)])
+    def test_restarts_settle_uncovered_members(self, capsys, tmp_path, family, nodes):
+        # members no closed form covers, which a single depth-first search
+        # leaves inconclusive at the default budget
+        g, lab = tmp_path / "g.el", tmp_path / "g.lab"
+        assert run(capsys, "gen", "--family", family, "--out", str(g))[0] == EXIT_OK
+        code, out, _ = run(capsys, "search", "--graph", str(g))
+        assert code == EXIT_OK
+        head, _, labels = out.partition("\n")
+        assert head == "FOUND nodes=%d" % nodes
+        lab.write_text(labels)
+        code, out, _ = run(capsys, "verify", "--graph", str(g), "--labels", str(lab))
+        assert (code, out.split()[0]) == (EXIT_OK, "OK")
+
     def test_find_all(self, capsys, tmp_path):
         g = tmp_path / "p3.el"
         g.write_text("3 2\n1 2\n2 3\n")

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import nplabel
-from nplabel import treescan  # a submodule, not a name in __all__
+from nplabel import search, treescan  # submodules, not names in __all__
 from nplabel.errors import UsageError
 from nplabel.families import FamilySpec
 from nplabel.graph import VerificationReport, Violation
@@ -148,15 +148,15 @@ class TestRecords:
         assert (row.failure_graphs, row.nodes, row.core_searches) == ((), 0, 0)
 
     def test_scan_rows_unchanged(self, monkeypatch):
-        # every restart's config is built by the checking constructor
-        built = []
+        # no search, restart or complete, gets a budget below 1
+        budgets = []
+        kernel = search._backtrack
 
-        def checked(*args):
-            cfg = SearchConfig(*args)
-            built.append(cfg)
-            return cfg
+        def checked(g, order, budget, find_all):
+            budgets.append(budget)
+            return kernel(g, order, budget, find_all)
 
-        monkeypatch.setattr(treescan, "SearchConfig", checked)
+        monkeypatch.setattr(search, "_backtrack", checked)
         rows = [(r.n, r.tree_count, r.solved_count, r.failures, r.inconclusive,
                  r.failure_graphs, r.nodes, r.core_searches)
                 for r in scan_conjecture(12).rows]
@@ -174,8 +174,8 @@ class TestRecords:
             (11, 235, 235, (), (), (), 142, 10),
             (12, 551, 551, (), (), (), 1011, 22),
         ]
-        assert len(built) >= 54  # at least one search per core shape
-        assert all(type(cfg) is SearchConfig for cfg in built)
+        assert len(budgets) >= 54  # at least one search per core shape
+        assert all(budget is None or budget >= 1 for budget in budgets)
 
     def test_equal_to_plain_tuple(self):
         assert FamilySpec("gear", (7,)) == ("gear", (7,))

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from nplabel import search
 from nplabel.errors import UsageError
 from nplabel.families import cycle_graph, path_graph, random_tree
 from nplabel.graph import Graph, verify
 from nplabel.search import (
+    DEFAULT_BUDGET,
     EXHAUSTED,
     FOUND,
     INCONCLUSIVE,
@@ -80,7 +82,9 @@ class TestFindLabeling:
     def test_cycle_statuses(self):
         for n in (3, 4, 5, 7, 8, 9):
             assert find_labeling(cycle_graph(n)).status == FOUND
-        assert find_labeling(cycle_graph(10)).status == EXHAUSTED
+        # a refutation pays for the restarts before its complete search
+        assert find_labeling(cycle_graph(6)) == (EXHAUSTED, None, 7314, None)
+        assert find_labeling(cycle_graph(10)) == (EXHAUSTED, None, 928839, None)
 
     def test_budget_inconclusive(self):
         out = find_labeling(cycle_graph(12), SearchConfig(node_budget=5))
@@ -122,6 +126,51 @@ class TestFindLabeling:
         out = find_labeling(path_graph(5), SearchConfig(find_all=True))
         for sol in out.all_solutions:
             assert verify(path_graph(5), sol).ok
+
+
+class TestRestarts:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(order, cap) of each kernel call; every call gives up after 1 node."""
+        calls = []
+
+        def inconclusive(g, order, cap, find_all):
+            calls.append((order, cap))
+            return SearchOutcome(INCONCLUSIVE, None, 1)
+
+        monkeypatch.setattr(search, "_backtrack", inconclusive)
+        return calls
+
+    @pytest.mark.parametrize("budget, count", [(320_000, 28), (None, 420)])
+    def test_restarts_bounded_by_schedule(self, calls, budget, count):
+        # the Luby caps, 100 nodes a unit, stop once they would pass 1/64 of
+        # the budget (of DEFAULT_BUDGET when unlimited); one complete search
+        # follows.  Reported node counts do not bound the loop.
+        out = find_labeling(cycle_graph(12), SearchConfig(node_budget=budget))
+        assert out == (INCONCLUSIVE, None, count, None)
+        caps = [cap for _, cap in calls]
+        assert len(caps) == count
+        assert caps[:8] == [100, 100, 200, 100, 100, 200, 400, 100]
+        assert sum(caps[:-1]) <= (budget or DEFAULT_BUDGET) // 64
+        assert caps[-1] == (None if budget is None else budget - (count - 1))
+
+    def test_unit_is_at_least_n(self, calls):
+        # a labeling takes at least n nodes, so no restart gets fewer
+        find_labeling(path_graph(150), SearchConfig(node_budget=320_000))
+        caps = [cap for _, cap in calls]
+        assert caps[:4] == [150, 150, 300, 150]
+        assert sum(caps[:-1]) <= 320_000 // 64
+
+    def test_restarts_break_ties_only(self, calls):
+        # every restart keeps the degree order; the first and the complete
+        # search break its ties by vertex id
+        g = random_tree(30, 4)
+        find_labeling(g, SearchConfig(node_budget=320_000))
+        orders = [order for order, _ in calls]
+        degree = [-len(a) for a in g.adj]
+        assert orders[0] == orders[-1] == sorted(range(1, 31), key=degree.__getitem__)
+        assert all(sorted(o, key=degree.__getitem__) == o for o in orders)
+        assert len({tuple(o) for o in orders}) > 1
 
 
 class TestKernelGolden:

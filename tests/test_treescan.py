@@ -7,14 +7,12 @@ from itertools import product
 import pytest
 
 from nplabel.errors import UsageError
-from nplabel.families import random_tree, tree_from_pruefer
+from nplabel.families import generate, parse_family, random_tree, tree_from_pruefer
 from nplabel import treescan
 from nplabel.graph import Graph, VerificationReport, is_tree, verify
 from nplabel.search import (
-    DEFAULT_BUDGET,
     EXHAUSTED,
     FOUND,
-    INCONCLUSIVE,
     SearchConfig,
     SearchOutcome,
     brute_force_oracle,
@@ -135,7 +133,7 @@ class TestAhuCanonical:
         core = treescan._induced(t, kept)
         assert core == Graph(14, relabelled)
         assert ahu_canonical(core) == code
-        assert treescan._search_core(core, SearchConfig()).nodes_explored == 121
+        assert find_labeling(core, SearchConfig()).nodes_explored == 121
 
 
 class TestEncoderAgainstReference:
@@ -281,19 +279,18 @@ class TestScanConjecture:
 
     def test_core_encoded_once_per_shape(self, monkeypatch):
         # the memo sends only the 158 distinct rooted cores up to 14
-        # vertices to _search_core; every tree is still verified
+        # vertices to find_labeling; every tree is still verified
         cores, verified = [], []
-        search_core = treescan._search_core
 
-        def searching(core, cfg):
+        def searching(core, cfg=SearchConfig()):
             cores.append(core)
-            return search_core(core, cfg)
+            return find_labeling(core, cfg)
 
         def verifying(t, labels):
             verified.append(t)
             return verify(t, labels)
 
-        monkeypatch.setattr(treescan, "_search_core", searching)
+        monkeypatch.setattr(treescan, "find_labeling", searching)
         monkeypatch.setattr(treescan, "verify", verifying)
         report = scan_conjecture(14)
         assert sum(r.tree_count for r in report.rows) == 5447
@@ -451,10 +448,13 @@ class TestRestarts:
         assert not any(r.inconclusive or r.failures for r in report.rows)
 
     def test_scans_repeat_exactly(self):
-        # the restart seed is the core's edge list, which does not depend
+        # the restart seed is the graph's edge list, which does not depend
         # on the interpreter's string hash seed
         script = ("from nplabel.treescan import scan_conjecture; "
-                  "print([r.nodes for r in scan_conjecture(13).rows])")
+                  "from nplabel.families import generate, parse_family; "
+                  "from nplabel.search import find_labeling; "
+                  "print([r.nodes for r in scan_conjecture(13).rows]); "
+                  "print(find_labeling(generate(parse_family('stargon:6,4'))))")
         env = dict(os.environ,
                    PYTHONPATH=os.path.dirname(os.path.dirname(treescan.__file__)))
         runs = [
@@ -464,25 +464,6 @@ class TestRestarts:
             for seed in ("1", "2")
         ]
         here = [r.nodes for r in scan_conjecture(13).rows]
-        assert runs == [str(here) + "\n"] * 2
-
-    @pytest.mark.parametrize("budget, calls", [(10_000, 28), (None, 8191)])
-    def test_restarts_bounded_by_schedule(self, monkeypatch, budget, calls):
-        # the Luby caps, 100 nodes a unit, stop once they would pass half
-        # the budget (half of DEFAULT_BUDGET when unlimited); one complete
-        # search follows.  Reported node counts do not bound the loop.
-        searched = []
-
-        def inconclusive(g, cfg=SearchConfig()):
-            searched.append((ahu_canonical(g), cfg.node_budget))
-            return SearchOutcome(INCONCLUSIVE, None, 1)
-
-        monkeypatch.setattr(treescan, "find_labeling", inconclusive)
-        report = scan_conjecture(3, SearchConfig(node_budget=budget))
-        assert sum(r.core_searches for r in report.rows) == 3
-        codes = [ahu_canonical(t) for n in (1, 2, 3) for t in enumerate_free_trees(n)]
-        assert [sum(c == code for c, _ in searched) for code in codes] == [calls] * 3
-        caps = [cap for _, cap in searched[:calls]]
-        assert caps[:8] == [100, 100, 200, 100, 100, 200, 400, 100]
-        assert sum(caps[:-1]) <= (budget or DEFAULT_BUDGET) // 2
-        assert caps[-1] == (None if budget is None else budget - (calls - 1))
+        star_gon = find_labeling(generate(parse_family("stargon:6,4")))
+        assert star_gon.nodes_explored == 528
+        assert runs == ["%s\n%s\n" % (here, star_gon)] * 2

@@ -81,7 +81,12 @@ def _cmd_search(ns) -> int:
     order = ORDER_DEGREE if ns.order == "deg" else ORDER_NATURAL
     cfg = SearchConfig(node_budget=ns.budget, order=order, find_all=ns.all)
     outcome = find_labeling(g, cfg)
-    print("%s nodes=%d" % (outcome.status.upper(), outcome.nodes_explored))
+    found = [outcome.labeling] if outcome.status == FOUND else []
+    if not all(verify(g, labels).ok for labels in (outcome.all_solutions if ns.all else found)):
+        print("UNVERIFIED: search labeling failed verification", file=sys.stderr)
+        return EXIT_ERROR
+    print("%s nodes=%d steps=%d" % (outcome.status.upper(), outcome.nodes_explored,
+                                    outcome.steps))
     if outcome.status == FOUND and not ns.all:
         sys.stdout.write(fileio.write_labels(outcome.labeling))
     if ns.all:

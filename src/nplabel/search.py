@@ -1,17 +1,14 @@
 """Exact search for neighborhood-prime labelings plus a brute-force oracle.
 
-The search is a pure-Python backtracking kernel over the graph's adjacency:
-depth-first assignment of labels to vertices in a fixed order, pruning a
-branch as soon as some vertex of degree >= 2 has its whole neighborhood
-labeled with gcd >= 2.  To find one labeling, ``find_labeling`` restarts
-the kernel on the Luby schedule, each restart breaking the vertex order's
-ties differently, before one complete search.
+To find one labeling, ``find_labeling`` runs a seeded min-conflicts local
+search, then a pure-Python depth-first kernel that prunes a branch once a
+vertex of degree >= 2 has its whole neighborhood labeled with gcd >= 2.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import count, permutations
+from itertools import permutations
 from math import gcd
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -58,19 +55,7 @@ class SearchOutcome(NamedTuple):
     labeling: Optional[Tuple[int, ...]]
     nodes_explored: int
     all_solutions: Optional[Tuple[Tuple[int, ...], ...]] = None
-
-
-RESTART_UNIT = 100  # nodes in one unit of the Luby schedule
-
-
-def _luby(i: int) -> int:
-    """Term i >= 1 of the Luby sequence 1, 1, 2, 1, 1, 2, 4, 1, ...: the
-    universal restart schedule of Luby, Sinclair & Zuckerman (1993)."""
-    k = i.bit_length()
-    while i != (1 << k) - 1:
-        i -= (1 << (k - 1)) - 1
-        k = i.bit_length()
-    return 1 << (k - 1)
+    steps: int = 0  # local-search steps, counted apart from the nodes
 
 
 def find_labeling(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
@@ -82,50 +67,68 @@ def find_labeling(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOutcome
     budget (None means unlimited).  A branch is pruned as soon as some
     vertex of degree >= 2 has its whole neighborhood labeled with gcd >= 2.
     With ``find_all`` one depth-first search returns every solution; a
-    budget hit yields Inconclusive with the partial list.
-
-    To find one labeling, the search first restarts: restart i is capped
-    at ``_luby(i) * max(RESTART_UNIT, n)`` nodes (a labeling takes at least
-    n) and breaks the vertex order's ties by a permutation, the identity
-    first, then shuffles drawn from ``random.Random(repr(g.edges))``, a
-    seed that does not depend on ``PYTHONHASHSEED``.  The restarts stop
-    once their caps would pass 1/64 of ``cfg.node_budget`` (of
-    ``DEFAULT_BUDGET`` when unlimited); one complete search, ties broken by
-    vertex id, gets the rest, so Exhausted is a refutation.  The first
-    search to end Found or Exhausted settles the graph; ``nodes_explored``
-    counts every search."""
-    identity = list(range(1, g.n + 1))
+    budget hit yields Inconclusive with the partial list.  To find one
+    labeling, ``_local_search`` first takes up to 1/64 of the budget (of
+    ``DEFAULT_BUDGET`` when unlimited) in steps, reported apart from the
+    nodes; the depth-first search gets the rest, so Exhausted refutes."""
     budget = cfg.node_budget
     if cfg.find_all:
-        return _backtrack(g, _vertex_order(g, cfg.order, identity), budget, True)
-    share = (DEFAULT_BUDGET if budget is None else budget) // 64
-    unit = max(RESTART_UNIT, g.n)
-    perm, rng = identity[:], None
-    spent = capped = 0
-    for i in count(1):
-        cap = _luby(i) * unit
-        capped += cap
-        if capped > share:
-            break
-        if i > 1:
-            rng = rng or random.Random(repr(g.edges))
-            rng.shuffle(perm)
-        outcome = _backtrack(g, _vertex_order(g, cfg.order, perm), cap, False)
-        spent += outcome.nodes_explored
-        if outcome.status != INCONCLUSIVE:
-            return outcome._replace(nodes_explored=spent)
-    rest = None if budget is None else budget - spent
-    outcome = _backtrack(g, _vertex_order(g, cfg.order, identity), rest, False)
-    return outcome._replace(nodes_explored=spent + outcome.nodes_explored)
+        return _backtrack(g, _vertex_order(g, cfg.order), budget, True)
+    labeling, steps = _local_search(g, (budget or DEFAULT_BUDGET) // 64)
+    if labeling is not None:
+        return SearchOutcome(FOUND, labeling, 0, steps=steps)
+    rest = None if budget is None else budget - steps
+    return _backtrack(g, _vertex_order(g, cfg.order), rest, False)._replace(steps=steps)
 
 
-def _vertex_order(g: Graph, order: str, perm: List[int]) -> List[int]:
-    """The vertices by degree descending (or not at all, for natural
-    order), ties broken by ``perm[v - 1]``."""
-    if order == ORDER_DEGREE:
-        adj = g.adj
-        return sorted(range(1, g.n + 1), key=lambda v: (-len(adj[v]), perm[v - 1]))
-    return sorted(range(1, g.n + 1), key=lambda v: perm[v - 1])
+def _local_search(g: Graph, max_steps: int) -> Tuple[Optional[Tuple[int, ...]], int]:
+    """(labeling or None, steps taken): min-conflicts repair (Minton et al.,
+    1992) with random-walk noise (Selman et al., 1994) from a random
+    bijection, seeded by ``repr(g.edges)``, which ``PYTHONHASHSEED`` does
+    not change.  A vertex is violated when it has degree >= 2 and
+    neighborhood gcd > 1.  Each step picks a violated v, a neighbor x of v
+    and a random vertex y and swaps the labels of x and y.  The swap stays
+    if the violated count among the neighbors of x and y does not rise, or
+    else one time in 10."""
+    n, adj = g.n, g.adj
+    hood = [a if len(a) > 1 else () for a in adj]  # gcd() of () is 0: never violated
+    rng = random.Random(repr(g.edges))
+    pick = rng.random
+    label = [0] + rng.sample(range(1, n + 1), n)
+
+    def violating(vertices):
+        return [v for v in vertices if gcd(*[label[u] for u in hood[v]]) > 1]
+
+    violated = violating(range(1, n + 1))
+    where = {v: i for i, v in enumerate(violated)}  # index in violated
+    steps = 0
+    while violated and steps < max_steps:
+        steps += 1
+        a = adj[violated[int(pick() * len(violated))]]
+        x, y = a[int(pick() * len(a))], int(pick() * n) + 1
+        near = set(adj[x]).union(adj[y])
+        before = sum(map(where.__contains__, near))
+        label[x], label[y] = label[y], label[x]
+        now = set(violating(near))
+        if len(now) > before and pick() >= 0.1:
+            label[x], label[y] = label[y], label[x]
+            continue
+        for w in near:
+            if w in now and w not in where:
+                where[w] = len(violated)
+                violated.append(w)
+            elif w in where and w not in now:
+                last, i = violated.pop(), where.pop(w)
+                if last != w:
+                    violated[i], where[last] = last, i
+    return (None if violated else tuple(label[1:])), steps
+
+
+def _vertex_order(g: Graph, order: str) -> List[int]:
+    """The vertices, by degree descending (a stable sort) for degree order."""
+    adj = g.adj
+    key = (lambda v: -len(adj[v])) if order == ORDER_DEGREE else None
+    return sorted(range(1, g.n + 1), key=key)
 
 
 def _backtrack(g: Graph, order: List[int], budget: Optional[int],
@@ -190,12 +193,8 @@ def _backtrack(g: Graph, order: List[int], budget: Optional[int],
             rem[w] += 1
     if solutions and status != INCONCLUSIVE:
         status = FOUND
-    return SearchOutcome(
-        status,
-        solutions[0] if solutions else None,
-        nodes,
-        tuple(solutions) if find_all else None,
-    )
+    return SearchOutcome(status, solutions[0] if solutions else None, nodes,
+                         tuple(solutions) if find_all else None)
 
 
 def brute_force_oracle(g: Graph, find_all: bool = False) -> SearchOutcome:

@@ -256,6 +256,7 @@ class SizeResult(NamedTuple):
     failure_graphs: Tuple[Graph, ...] = ()
     nodes: int = 0  # search nodes spent at this size, core and full-tree searches
     core_searches: int = 0  # core shapes first met, and searched, at this size
+    steps: int = 0  # local-search steps, summed like nodes
 
 
 class ConjectureReport(NamedTuple):
@@ -267,13 +268,14 @@ class ConjectureReport(NamedTuple):
         return all(not r.failures for r in self.rows)
 
     def table(self) -> str:
-        lines = ["%4s %8s %8s %8s %12s %6s %10s %9s" % (
-            "n", "trees", "solved", "failed", "inconclusive", "cores", "nodes", "seconds")]
+        lines = ["%4s %8s %8s %8s %12s %6s %10s %8s %9s" % (
+            "n", "trees", "solved", "failed", "inconclusive", "cores", "nodes", "steps",
+            "seconds")]
         for r in self.rows:
             lines.append(
-                "%4d %8d %8d %8d %12d %6d %10d %9.2f"
+                "%4d %8d %8d %8d %12d %6d %10d %8d %9.2f"
                 % (r.n, r.tree_count, r.solved_count, len(r.failures),
-                   len(r.inconclusive), r.core_searches, r.nodes, r.seconds)
+                   len(r.inconclusive), r.core_searches, r.nodes, r.steps, r.seconds)
             )
         return "\n".join(lines) + "\n"
 
@@ -288,7 +290,7 @@ def scan_conjecture(
     The trees stream from ``enumerate_free_trees`` and are settled one at a
     time, so memory does not grow with the number of trees.  Each tree's
     leaves are stripped (``_strip_leaves``); the pendant core that is left
-    is searched by ``find_labeling`` (randomized restarts, then a complete
+    is searched by ``find_labeling`` (a seeded local search, then a complete
     search), and its labeling is extended to the tree and verified.
 
     One memo, spanning sizes, holds each core's search outcome, keyed by
@@ -316,7 +318,7 @@ def scan_conjecture(
     rows = []
     for n in range(1, max_n + 1):
         start = time.perf_counter()
-        tree_count = nodes = core_searches = solved = 0
+        tree_count = nodes = steps = core_searches = solved = 0
         failed, inconclusive = [], []
         for t in enumerate_free_trees(n):
             tree_count += 1
@@ -325,12 +327,14 @@ def scan_conjecture(
             if outcome is None:
                 outcome = memo[shape] = find_labeling(_induced(t, kept), cfg)
                 nodes += outcome.nodes_explored
+                steps += outcome.steps
                 core_searches += 1
             if outcome.status == FOUND:
                 labels = _tree_labeling(kept, stripped, outcome.labeling)
             elif outcome.status == EXHAUSTED or stripped:
                 outcome = find_labeling(t, cfg)
                 nodes += outcome.nodes_explored
+                steps += outcome.steps
                 labels = outcome.labeling
             if outcome.status == FOUND:
                 if not verify(t, labels).ok:
@@ -352,6 +356,7 @@ def scan_conjecture(
                 failure_graphs=tuple(failed),
                 nodes=nodes,
                 core_searches=core_searches,
+                steps=steps,
             )
         )
     return ConjectureReport(max_n, tuple(rows))

@@ -1,5 +1,6 @@
 import pytest
 
+from nplabel import cli
 from nplabel.cli import (
     EXIT_ERROR,
     EXIT_EXHAUSTED,
@@ -9,9 +10,15 @@ from nplabel.cli import (
 )
 from nplabel.fileio import parse_edge_list, parse_labels, write_edge_list, write_labels
 from nplabel.families import cycle_graph, gear_graph
-from nplabel.graph import verify
+from nplabel.graph import Graph, verify
 from nplabel import treescan
-from nplabel.search import EXHAUSTED, INCONCLUSIVE, SearchConfig, SearchOutcome
+from nplabel.search import EXHAUSTED, FOUND, INCONCLUSIVE, SearchConfig, SearchOutcome
+
+# the irreducible core ((((()))((())))(((())))(((())))(((())))) on 20
+# vertices, numbered in preorder from its center
+HARD_CORE = Graph(20, [(1, 2), (1, 9), (1, 13), (1, 17), (2, 3), (2, 6), (3, 4),
+                       (4, 5), (6, 7), (7, 8), (9, 10), (10, 11), (11, 12), (13, 14),
+                       (14, 15), (15, 16), (17, 18), (18, 19), (19, 20)])
 
 
 def run(capsys, *argv):
@@ -162,20 +169,39 @@ class TestSearch:
         assert code == EXIT_INCONCLUSIVE
         assert out.startswith("INCONCLUSIVE")
 
-    @pytest.mark.parametrize("family, nodes", [
-        ("stargon:6,4", 528), ("stargon:8,4", 4227), ("snake:9,4", 2898)])
-    def test_restarts_settle_uncovered_members(self, capsys, tmp_path, family, nodes):
-        # members no closed form covers, which a single depth-first search
-        # leaves inconclusive at the default budget
+    @pytest.mark.parametrize("family, steps", [
+        ("stargon:6,4", 194), ("stargon:8,4", 167), ("snake:9,4", 35),
+        ("snake:6,4", 100), ("core20", 73)])
+    def test_local_search_settles_uncovered_members(self, capsys, tmp_path, family,
+                                                    steps):
+        # members no closed form covers, and the hard core; the depth-first
+        # search alone leaves each inconclusive at the default budget
         g, lab = tmp_path / "g.el", tmp_path / "g.lab"
-        assert run(capsys, "gen", "--family", family, "--out", str(g))[0] == EXIT_OK
+        if family == "core20":
+            assert treescan.ahu_canonical(HARD_CORE) == "((((()))((())))(((())))(((())))(((()))))"
+            assert not treescan._strip_leaves(HARD_CORE)[0]  # irreducible
+            g.write_text(write_edge_list(HARD_CORE))
+        else:
+            assert run(capsys, "gen", "--family", family, "--out", str(g))[0] == EXIT_OK
         code, out, _ = run(capsys, "search", "--graph", str(g))
         assert code == EXIT_OK
         head, _, labels = out.partition("\n")
-        assert head == "FOUND nodes=%d" % nodes
+        assert head == "FOUND nodes=0 steps=%d" % steps
         lab.write_text(labels)
         code, out, _ = run(capsys, "verify", "--graph", str(g), "--labels", str(lab))
         assert (code, out.split()[0]) == (EXIT_OK, "OK")
+
+    @pytest.mark.parametrize("flags", [(), ("--all",)], ids=["find-one", "all"])
+    def test_unverified_labeling_exit_1(self, capsys, tmp_path, monkeypatch, flags):
+        # vertex 1 of C5 sees labels 2 and 4: a labeling no search may print
+        g = tmp_path / "c5.el"
+        g.write_text(write_edge_list(cycle_graph(5)))
+        bad = (1, 2, 3, 5, 4)
+        monkeypatch.setattr(cli, "find_labeling", lambda graph, cfg: SearchOutcome(
+            FOUND, bad, 5, (bad,) if cfg.find_all else None))
+        code, out, err = run(capsys, "search", "--graph", str(g), *flags)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("UNVERIFIED")
 
     def test_find_all(self, capsys, tmp_path):
         g = tmp_path / "p3.el"

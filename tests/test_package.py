@@ -145,37 +145,48 @@ class TestRecords:
     def test_defaults(self):
         assert SearchOutcome("exhausted", None, 5).all_solutions is None
         row = SizeResult(3, 1, 1, (), (), 0.5)
-        assert (row.failure_graphs, row.nodes, row.core_searches) == ((), 0, 0)
+        assert (row.failure_graphs, row.nodes, row.core_searches, row.steps) == ((), 0, 0, 0)
+        assert SearchOutcome("found", (1,), 0).steps == 0
 
     def test_scan_rows_unchanged(self, monkeypatch):
-        # no search, restart or complete, gets a budget below 1
-        budgets = []
-        kernel = search._backtrack
+        # every local search gets its 1/64 share and no depth-first search
+        # gets a budget below 1
+        shares, budgets = [], []
+        local, kernel = search._local_search, search._backtrack
+
+        def local_checked(g, max_steps):
+            shares.append(max_steps)
+            return local(g, max_steps)
 
         def checked(g, order, budget, find_all):
             budgets.append(budget)
             return kernel(g, order, budget, find_all)
 
+        monkeypatch.setattr(search, "_local_search", local_checked)
         monkeypatch.setattr(search, "_backtrack", checked)
         rows = [(r.n, r.tree_count, r.solved_count, r.failures, r.inconclusive,
-                 r.failure_graphs, r.nodes, r.core_searches)
+                 r.failure_graphs, r.nodes, r.core_searches, r.steps)
                 for r in scan_conjecture(12).rows]
         assert rows == [
-            (1, 1, 1, (), (), (), 1, 1),
-            (2, 1, 1, (), (), (), 2, 1),
-            (3, 1, 1, (), (), (), 3, 1),
-            (4, 2, 2, (), (), (), 6, 1),
-            (5, 3, 3, (), (), (), 5, 1),
-            (6, 6, 6, (), (), (), 12, 1),
-            (7, 11, 11, (), (), (), 16, 2),
-            (8, 23, 23, (), (), (), 21, 2),
-            (9, 47, 47, (), (), (), 56, 4),
-            (10, 106, 106, (), (), (), 182, 8),
-            (11, 235, 235, (), (), (), 142, 10),
-            (12, 551, 551, (), (), (), 1011, 22),
+            (1, 1, 1, (), (), (), 0, 1, 0),
+            (2, 1, 1, (), (), (), 0, 1, 0),
+            (3, 1, 1, (), (), (), 0, 1, 0),
+            (4, 2, 2, (), (), (), 0, 1, 0),
+            (5, 3, 3, (), (), (), 0, 1, 0),
+            (6, 6, 6, (), (), (), 0, 1, 3),
+            (7, 11, 11, (), (), (), 0, 2, 2),
+            (8, 23, 23, (), (), (), 0, 2, 5),
+            (9, 47, 47, (), (), (), 0, 4, 21),
+            (10, 106, 106, (), (), (), 0, 8, 63),
+            (11, 235, 235, (), (), (), 0, 10, 50),
+            (12, 551, 551, (), (), (), 0, 22, 189),
         ]
-        assert len(budgets) >= 54  # at least one search per core shape
-        assert all(budget is None or budget >= 1 for budget in budgets)
+        assert shares == [SearchConfig().node_budget // 64] * 54  # one per core shape
+        assert budgets == []  # the local search labels every core
+        # at a budget of 64 the local search gets 1 step; when that fails,
+        # the depth-first search gets the 63 left
+        scan_conjecture(9, SearchConfig(node_budget=64))
+        assert budgets and set(budgets) == {63}
 
     def test_equal_to_plain_tuple(self):
         assert FamilySpec("gear", (7,)) == ("gear", (7,))

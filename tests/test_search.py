@@ -82,16 +82,18 @@ class TestFindLabeling:
     def test_cycle_statuses(self):
         for n in (3, 4, 5, 7, 8, 9):
             assert find_labeling(cycle_graph(n)).status == FOUND
-        # a refutation pays for the restarts before its complete search
-        assert find_labeling(cycle_graph(6)) == (EXHAUSTED, None, 7314, None)
-        assert find_labeling(cycle_graph(10)) == (EXHAUSTED, None, 928839, None)
+        # a refutation spends the local search's whole share of the budget,
+        # then runs the depth-first search to the end
+        assert find_labeling(cycle_graph(6)) == (EXHAUSTED, None, 916, None, 156250)
+        assert find_labeling(cycle_graph(10)) == (EXHAUSTED, None, 772420, None, 156250)
 
     def test_budget_inconclusive(self):
         out = find_labeling(cycle_graph(12), SearchConfig(node_budget=5))
         assert out.status == INCONCLUSIVE
         assert out.labeling is None
-        # the budget plus the one over-budget probe
-        assert out.nodes_explored == 6
+        # the budget plus the one over-budget probe; 5 // 64 leaves the
+        # local search no steps
+        assert (out.nodes_explored, out.steps) == (6, 0)
 
     def test_unlimited_budget(self):
         out = find_labeling(cycle_graph(6), SearchConfig(node_budget=None))
@@ -128,49 +130,51 @@ class TestFindLabeling:
             assert verify(path_graph(5), sol).ok
 
 
-class TestRestarts:
+class TestLocalSearchFirst:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """(order, cap) of each kernel call; every call gives up after 1 node."""
+        """(order, budget) of each kernel call; the kernel gives up at once."""
         calls = []
 
-        def inconclusive(g, order, cap, find_all):
-            calls.append((order, cap))
+        def inconclusive(g, order, budget, find_all):
+            calls.append((order, budget))
             return SearchOutcome(INCONCLUSIVE, None, 1)
 
         monkeypatch.setattr(search, "_backtrack", inconclusive)
         return calls
 
-    @pytest.mark.parametrize("budget, count", [(320_000, 28), (None, 420)])
-    def test_restarts_bounded_by_schedule(self, calls, budget, count):
-        # the Luby caps, 100 nodes a unit, stop once they would pass 1/64 of
-        # the budget (of DEFAULT_BUDGET when unlimited); one complete search
-        # follows.  Reported node counts do not bound the loop.
-        out = find_labeling(cycle_graph(12), SearchConfig(node_budget=budget))
-        assert out == (INCONCLUSIVE, None, count, None)
-        caps = [cap for _, cap in calls]
-        assert len(caps) == count
-        assert caps[:8] == [100, 100, 200, 100, 100, 200, 400, 100]
-        assert sum(caps[:-1]) <= (budget or DEFAULT_BUDGET) // 64
-        assert caps[-1] == (None if budget is None else budget - (count - 1))
+    @pytest.mark.parametrize("budget", [320_000, 1000, 63, None])
+    def test_steps_share_the_budget(self, calls, budget):
+        # C6 has no labeling, so the local search spends its whole share,
+        # 1/64 of the budget (of DEFAULT_BUDGET when unlimited), and one
+        # depth-first search in degree order gets the rest
+        g = cycle_graph(6)
+        out = find_labeling(g, SearchConfig(node_budget=budget))
+        share = (budget or DEFAULT_BUDGET) // 64
+        assert out == (INCONCLUSIVE, None, 1, None, share)
+        assert calls == [(list(range(1, 7)), None if budget is None else budget - share)]
 
-    def test_unit_is_at_least_n(self, calls):
-        # a labeling takes at least n nodes, so no restart gets fewer
-        find_labeling(path_graph(150), SearchConfig(node_budget=320_000))
-        caps = [cap for _, cap in calls]
-        assert caps[:4] == [150, 150, 300, 150]
-        assert sum(caps[:-1]) <= 320_000 // 64
-
-    def test_restarts_break_ties_only(self, calls):
-        # every restart keeps the degree order; the first and the complete
-        # search break its ties by vertex id
+    def test_found_skips_the_kernel(self, calls):
         g = random_tree(30, 4)
-        find_labeling(g, SearchConfig(node_budget=320_000))
-        orders = [order for order, _ in calls]
-        degree = [-len(a) for a in g.adj]
-        assert orders[0] == orders[-1] == sorted(range(1, 31), key=degree.__getitem__)
-        assert all(sorted(o, key=degree.__getitem__) == o for o in orders)
-        assert len({tuple(o) for o in orders}) > 1
+        out = find_labeling(g)
+        assert (out.status, out.nodes_explored, calls) == (FOUND, 0, [])
+        assert 0 < out.steps <= DEFAULT_BUDGET // 64
+        assert verify(g, out.labeling).ok
+
+    def test_vertex_order_is_stable(self):
+        # degree descending, ties by vertex id; natural order is the identity
+        g = Graph(5, [(1, 5), (2, 3), (2, 5), (3, 4), (3, 5)])
+        assert search._vertex_order(g, ORDER_DEGREE) == [3, 5, 2, 1, 4]
+        assert search._vertex_order(g, ORDER_NATURAL) == [1, 2, 3, 4, 5]
+
+    def test_local_search_repeats(self):
+        # seeded by the edge list, the local search gives a graph the same
+        # labeling in the same steps every time; on C6 it runs out
+        g = random_tree(200, 3)
+        labels, steps = search._local_search(g, 10_000)
+        assert verify(g, labels).ok and 0 < steps < 10_000
+        assert search._local_search(g, 10_000) == (labels, steps)
+        assert search._local_search(cycle_graph(6), 500) == (None, 500)
 
 
 class TestKernelGolden:

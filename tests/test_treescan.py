@@ -122,7 +122,7 @@ class TestAhuCanonical:
     def test_golden_core(self):
         # a 14-vertex core met through a relabelled copy with one leaf hung
         # on a degree-2 vertex; the core keeps the tree's numbering, whose
-        # edge list seeds the restarts
+        # edge list seeds the local search
         code = "((((()))((())))(((()))(())))"
         edges = {(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7), (4, 8),
                  (5, 9), (6, 10), (7, 11), (8, 12), (9, 13), (10, 14)}
@@ -133,7 +133,8 @@ class TestAhuCanonical:
         core = treescan._induced(t, kept)
         assert core == Graph(14, relabelled)
         assert ahu_canonical(core) == code
-        assert find_labeling(core, SearchConfig()).nodes_explored == 121
+        out = find_labeling(core, SearchConfig())
+        assert (out.status, out.nodes_explored, out.steps) == (FOUND, 0, 21)
 
 
 class TestEncoderAgainstReference:
@@ -403,7 +404,7 @@ class TestScanReduction:
 
         def exhausted(g, cfg=SearchConfig()):
             searched.append(g)
-            return SearchOutcome(EXHAUSTED, None, 1)
+            return SearchOutcome(EXHAUSTED, None, 1, steps=2)
 
         monkeypatch.setattr(treescan, "find_labeling", exhausted)
         report = scan_conjecture(6)
@@ -411,6 +412,7 @@ class TestScanReduction:
             trees = list(enumerate_free_trees(row.n))
             assert list(row.failure_graphs) == trees
             assert row.nodes == row.core_searches + row.tree_count
+            assert row.steps == 2 * row.nodes
         assert sum(r.core_searches for r in report.rows) == 6
         assert len(searched) == 6 + 14
 
@@ -419,8 +421,10 @@ class TestScanReduction:
         # one search per rooted core shape, at the size where it is first met
         assert [r.core_searches for r in report.rows] == [
             1, 1, 1, 1, 1, 1, 2, 2, 4, 8, 10, 22, 32, 72]
-        assert [r.nodes for r in report.rows] == [
-            1, 2, 3, 6, 5, 12, 16, 21, 56, 182, 142, 1011, 1013, 3791]
+        # the local search settles every core, so no search nodes are spent
+        assert [r.steps for r in report.rows] == [
+            0, 0, 0, 0, 0, 3, 2, 5, 21, 63, 50, 189, 274, 771]
+        assert not any(r.nodes for r in report.rows)
 
     def test_irreducible_tree_searched_once(self, monkeypatch):
         # an irreducible tree is its own core: an inconclusive core search
@@ -440,7 +444,7 @@ class TestScanReduction:
         assert [searched.count(code) for code in irreducible] == [1] * len(irreducible)
 
 
-class TestRestarts:
+class TestScanSettles:
     def test_scan_to_sixteen_conclusive(self):
         report = scan_conjecture(16)
         last = report.rows[-1]
@@ -448,12 +452,12 @@ class TestRestarts:
         assert not any(r.inconclusive or r.failures for r in report.rows)
 
     def test_scans_repeat_exactly(self):
-        # the restart seed is the graph's edge list, which does not depend
-        # on the interpreter's string hash seed
+        # the local search's seed is the graph's edge list, which does not
+        # depend on the interpreter's string hash seed
         script = ("from nplabel.treescan import scan_conjecture; "
                   "from nplabel.families import generate, parse_family; "
                   "from nplabel.search import find_labeling; "
-                  "print([r.nodes for r in scan_conjecture(13).rows]); "
+                  "print([r.steps for r in scan_conjecture(13).rows]); "
                   "print(find_labeling(generate(parse_family('stargon:6,4'))))")
         env = dict(os.environ,
                    PYTHONPATH=os.path.dirname(os.path.dirname(treescan.__file__)))
@@ -463,7 +467,7 @@ class TestRestarts:
                            ).stdout
             for seed in ("1", "2")
         ]
-        here = [r.nodes for r in scan_conjecture(13).rows]
+        here = [r.steps for r in scan_conjecture(13).rows]
         star_gon = find_labeling(generate(parse_family("stargon:6,4")))
-        assert star_gon.nodes_explored == 528
+        assert (star_gon.nodes_explored, star_gon.steps) == (0, 194)
         assert runs == ["%s\n%s\n" % (here, star_gon)] * 2

@@ -66,6 +66,23 @@ class Graph:
             else:
                 nb.append(vertex[a])
             m += 1
+        self._store(n, m, adj)
+
+    @classmethod
+    def _from_sorted_lists(cls, adj: List[list], m: int) -> "Graph":
+        """Unchecked build from ``adj``, one sorted neighbour list per vertex
+        (index 0 empty), holding m edges; the lists become the Graph's.
+
+        Nothing is validated: the caller guarantees a simple graph whose
+        lists are sorted, symmetric and free of loops and duplicates.  Only
+        the tree generator (``treescan._tree_from_levels``) calls it, whose
+        lists are so by construction."""
+        g = cls.__new__(cls)
+        g._store(len(adj) - 1, m, adj)
+        return g
+
+    def _store(self, n: int, m: int, adj: List[list]) -> None:
+        """Keep n, m and ``adj``, turning each list into a tuple in place."""
         for v, nbrs in enumerate(adj):
             adj[v] = tuple(nbrs)
         self.n = n

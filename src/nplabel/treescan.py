@@ -101,18 +101,29 @@ def _next_rooted(levels: List[int], p: Optional[int] = None) -> bool:
 
 def _second_subtree(levels: List[int]) -> int:
     """Position where the root's second subtree starts (len if none)."""
-    return next((i for i in range(2, len(levels)) if levels[i] == 2), len(levels))
+    try:
+        return levels.index(2, 2)
+    except ValueError:
+        return len(levels)
 
 
 def _tree_from_levels(levels: List[int]) -> Graph:
-    """Tree whose vertex i+1 is position i of the level sequence."""
+    """Tree whose vertex i+1 is position i of the level sequence.
+
+    The adjacency lists are built in the walk itself: the parent of v is
+    the latest vertex one level up, which precedes v, and the children of a
+    vertex follow it in increasing order, so each list is its parent, then
+    its children, sorted with no duplicate and no loop, and there are n - 1
+    edges.  The Graph therefore takes the lists unchecked."""
     last = [0] * (len(levels) + 1)  # latest vertex seen at each level
-    edges = []
-    for v, level in enumerate(levels, 1):
-        if level > 1:
-            edges.append((last[level - 1], v))
+    last[1] = 1
+    adj = [[], []]  # vertex 0 unused; the root's list grows below
+    for v, level in enumerate(levels[1:], 2):
+        parent = last[level - 1]
+        adj[parent].append(v)
+        adj.append([parent])
         last[level] = v
-    return Graph(len(levels), edges)
+    return Graph._from_sorted_lists(adj, len(levels) - 1)
 
 
 def enumerate_free_trees(n: int) -> Iterator[Graph]:
@@ -123,13 +134,17 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
     free tree when the root's first subtree (the left half) is not above
     the rest of the tree in (height, size, sequence).  An out-of-order
     sequence skips straight to the next rooted sequence that changes the
-    left half, with the tail reset to the lowest path allowed.
+    left half, with the tail reset to the lowest path allowed.  The
+    comparison reads the heights, then the sizes, from the sequence itself
+    and builds the two shifted sequences only when both tie.
 
     Vertex i+1 of each tree is position i of its level sequence, so the
     vertices are numbered in preorder from the root, vertex 1: each vertex
     v >= 2 has exactly one smaller neighbour, its parent, which is
     ``adj[v][0]``.  The scan's shape memo (``_strip_leaves``) relies on
-    this."""
+    this.  A level sequence is a tree by construction, so each Graph is
+    built from its adjacency lists with no per-edge check
+    (``_tree_from_levels``)."""
     if not (1 <= n <= MAX_ENUM_N):
         raise UsageError("tree enumeration supports 1 <= n <= %d" % MAX_ENUM_N)
     if n == 1:
@@ -138,10 +153,16 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
     # the path, rooted at a center
     levels = list(range(1, n // 2 + 2)) + list(range(2, (n + 1) // 2 + 1))
     while True:
+        # the left half is levels[1:m] one level up, the rest [1] + levels[m:]
         m = _second_subtree(levels)
-        left = [level - 1 for level in levels[1:m]]
-        rest = [1] + levels[m:]
-        if (max(left), len(left), left) <= (max(rest), len(rest), rest):
+        left_height, rest_height = max(levels[1:m]) - 1, max(levels[m:], default=1)
+        if left_height != rest_height:
+            in_order = left_height < rest_height
+        elif m - 1 != n - m + 1:
+            in_order = m - 1 < n - m + 1
+        else:
+            in_order = [level - 1 for level in levels[1:m]] <= [1] + levels[m:]
+        if in_order:
             yield _tree_from_levels(levels)
             if not _next_rooted(levels):
                 return
@@ -216,7 +237,7 @@ def _strip_leaves(t: Graph):
     it is vertex 1, and then its one child roots the core.)  On any other
     numbering ``shape`` means nothing."""
     adj = t.adj
-    degree = [len(a) for a in adj]
+    degree = list(map(len, adj))
     level = [0] * (t.n + 1)
     level[1] = 1
     stripped, kept, shape = [], [], []

@@ -206,12 +206,20 @@ class TestEnumeration:
             assert a == b == FREE_TREE_COUNTS[n - 1]
 
     def test_extension_generator_codes_match(self):
-        for n in (4, 5, 6, 7, 8, 9):
+        for n in range(4, 13):
             primary = {ahu_canonical(t) for t in enumerate_free_trees(n)}
             secondary = {
                 ahu_canonical(t) for t in enumerate_free_trees_by_extension(n)
             }
             assert primary == secondary
+
+    def test_unchecked_build_matches_checked_build(self):
+        # the generator hands its adjacency lists to Graph unchecked; the
+        # checked constructor, fed the same edges, builds the same Graph
+        for n in range(1, 15):
+            for t in enumerate_free_trees(n):
+                assert t == Graph(t.n, t.edges)
+                assert (t.n, t.m) == (n, n - 1)
 
     def test_pruefer_crosscheck(self):
         assert count_free_trees_by_pruefer(7) == 11
@@ -299,6 +307,21 @@ class TestScanConjecture:
         # each core is irreducible, and no two are the same graph
         assert not any(treescan._strip_leaves(core)[0] for core in cores)
         assert len(set(cores)) == 158
+
+    def test_graph_builds_counted(self, monkeypatch):
+        # the enumerated trees skip the checked constructor: a scan to 14
+        # builds through it only the 158 cores and the one-vertex tree
+        calls = []
+        checked_init = Graph.__init__
+
+        def counting(self, n, edges):
+            calls.append(n)
+            checked_init(self, n, edges)
+
+        monkeypatch.setattr(Graph, "__init__", counting)
+        report = scan_conjecture(14)
+        assert sum(r.tree_count for r in report.rows) == 5447
+        assert len(calls) == 159
 
     def test_table_output(self):
         text = scan_conjecture(3).table()

@@ -2,8 +2,7 @@
 
 To find one labeling, ``find_labeling`` runs a seeded min-conflicts local
 search, then a pure-Python depth-first kernel that prunes a branch once a
-vertex of degree >= 2 has its whole neighborhood labeled with gcd >= 2,
-read from bitmasks of the labels' prime factors.
+vertex of degree >= 2 has its whole neighborhood labeled with gcd >= 2.
 """
 
 from __future__ import annotations
@@ -135,25 +134,15 @@ def _vertex_order(g: Graph, order: str) -> List[int]:
 def _backtrack(g: Graph, order: List[int], budget: Optional[int],
                find_all: bool) -> SearchOutcome:
     """The depth-first kernel: vertices assigned in ``order``, labels tried
-    in ascending order, stopping on the first node past ``budget``.
-
-    Label l has the bitmask of its prime factors p <= n/2; a prime above
-    n/2 divides one label only, so it is never common to two.  A set of
-    two or more labels has gcd >= 2 exactly when the AND of their masks is
-    non-zero, which each vertex keeps as it gains labeled neighbors."""
-    from .numtheory import primes_upto  # loaded only once the kernel runs
-
+    in ascending order, stopping on the first node past ``budget``."""
     n, adj = g.n, g.adj
     deg = [len(a) for a in adj]
-    primes = primes_upto(n // 2)
-    mask = [sum(1 << i for i, p in enumerate(primes) if lab % p == 0)
-            for lab in range(n + 1)]
-    nbr_and = [-1] * (n + 1)  # AND of labeled neighbors' masks (-1 = none yet)
+    nbr_gcd = [0] * (n + 1)  # running gcd of labeled neighbors (0 = none yet)
     rem = deg[:]  # unlabeled-neighbor count
     label_of = [0] * (n + 1)
     used = [False] * (n + 1)
     last = [0] * (n + 1)  # last label tried at each depth
-    trail = []  # (vertex, previous AND) undo records
+    trail = []  # (vertex, previous gcd) undo records
     tstart = [0] * (n + 1)  # trail length before each depth's label
 
     nodes = 0
@@ -180,13 +169,12 @@ def _backtrack(g: Graph, order: List[int], budget: Optional[int],
                 used[lab] = True
                 label_of[v] = lab
                 tstart[d] = len(trail)
-                bits = mask[lab]
                 for u in adj[v]:
                     if deg[u] > 1:
-                        trail.append((u, nbr_and[u]))
-                        nbr_and[u] &= bits
+                        trail.append((u, nbr_gcd[u]))
+                        nbr_gcd[u] = gcd(nbr_gcd[u], lab)
                         rem[u] -= 1
-                        if rem[u] == 0 and nbr_and[u]:
+                        if rem[u] == 0 and nbr_gcd[u] != 1:
                             break
                 else:
                     d += 1
@@ -201,7 +189,7 @@ def _backtrack(g: Graph, order: List[int], budget: Optional[int],
         start = tstart[d]
         while len(trail) > start:
             w, old = trail.pop()
-            nbr_and[w] = old
+            nbr_gcd[w] = old
             rem[w] += 1
     if solutions and status != INCONCLUSIVE:
         status = FOUND

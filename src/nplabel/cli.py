@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import fileio
-from .errors import NPLabelError, UnsupportedParameters, UnsupportedStructure
+from .errors import NPLabelError, ParseError, UnsupportedParameters, UnsupportedStructure
 from .families import generate, parse_family
 from .graph import verify
 from . import labelers
@@ -17,8 +17,6 @@ from .search import (
     EXHAUSTED,
     FOUND,
     INCONCLUSIVE,
-    ORDER_DEGREE,
-    ORDER_NATURAL,
     SearchConfig,
     find_labeling,
 )
@@ -27,6 +25,15 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EXHAUSTED = 2
 EXIT_INCONCLUSIVE = 3
+
+
+def _read(path: str) -> str:
+    """The text of an input file; bytes that are not UTF-8 are a ParseError
+    naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not UTF-8 text: %s" % (path, exc))
 
 
 def _cmd_gen(ns) -> int:
@@ -61,8 +68,8 @@ def _cmd_label(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    g = fileio.parse_edge_list(Path(ns.graph).read_text())
-    labels = fileio.parse_labels(Path(ns.labels).read_text())
+    g = fileio.parse_edge_list(_read(ns.graph))
+    labels = fileio.parse_labels(_read(ns.labels))
     report = verify(g, labels)
     if report.ok:
         print("OK checked=%d" % report.checked_count)
@@ -77,9 +84,8 @@ def _cmd_verify(ns) -> int:
 
 
 def _cmd_search(ns) -> int:
-    g = fileio.parse_edge_list(Path(ns.graph).read_text())
-    order = ORDER_DEGREE if ns.order == "deg" else ORDER_NATURAL
-    cfg = SearchConfig(node_budget=ns.budget, order=order, find_all=ns.all)
+    g = fileio.parse_edge_list(_read(ns.graph))
+    cfg = SearchConfig(node_budget=ns.budget, find_all=ns.all)
     outcome = find_labeling(g, cfg)
     found = [outcome.labeling] if outcome.status == FOUND else []
     if not all(verify(g, labels).ok for labels in (outcome.all_solutions if ns.all else found)):
@@ -160,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--budget", type=int, default=SearchConfig().node_budget)
     p.add_argument("--all", action="store_true")
-    p.add_argument("--order", choices=["deg", "nat"], default="deg")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("scan-trees", help="conjecture scan over all small trees")

@@ -7,10 +7,10 @@ Label format: n lines, line v holds the label of vertex v.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from .errors import ParseError, UsageError
-from .graph import Graph, Labeling, VerificationReport
+from .graph import Graph, Labeling
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -88,26 +88,11 @@ def write_labels(labels: Labeling) -> str:
     return "\n".join(str(x) for x in labels) + "\n"
 
 
-def to_dot(
-    g: Graph,
-    labels: Optional[Labeling] = None,
-    report: Optional[VerificationReport] = None,
-) -> str:
-    """DOT export; violation vertices from a failed report are colored red."""
-    bad = {v.vertex for v in report.violations} if report else set()
+def to_dot(g: Graph) -> str:
+    """DOT export of the graph: one ``vN;`` line per vertex, then one
+    ``vU -- vV;`` line per edge in ascending order."""
     lines = ["graph G {"]
-    for v in range(1, g.n + 1):
-        attrs = []
-        if labels is not None:
-            attrs.append('label="%d"' % labels[v - 1])
-        if v in bad:
-            attrs.append('color="red"')
-            attrs.append('style="filled"')
-            attrs.append('fillcolor="lightpink"')
-        lines.append(
-            "  v%d%s;" % (v, " [" + ", ".join(attrs) + "]" if attrs else "")
-        )
-    for u, v in g.edges:
-        lines.append("  v%d -- v%d;" % (u, v))
+    lines += ["  v%d;" % v for v in range(1, g.n + 1)]
+    lines += ["  v%d -- v%d;" % e for e in g.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -41,14 +41,6 @@ def primes_upto(limit: int):
     return _primes[: bisect_right(_primes, limit)]
 
 
-def is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    _extend_sieve(x)
-    i = bisect_right(_primes, x)
-    return i > 0 and _primes[i - 1] == x
-
-
 def bertrand_prime(n: int) -> int:
     """Smallest prime p with n+1 <= p <= 2n; exists for every n >= 1."""
     if n < 1:

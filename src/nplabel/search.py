@@ -17,9 +17,6 @@ from .graph import Graph, verify
 
 DEFAULT_BUDGET = 10_000_000
 
-ORDER_DEGREE = "degree"
-ORDER_NATURAL = "natural"
-
 FOUND = "found"
 EXHAUSTED = "exhausted"
 INCONCLUSIVE = "inconclusive"
@@ -31,19 +28,19 @@ def kernel_name() -> str:
 
 
 class SearchConfig(NamedTuple("_SearchConfig", [("node_budget", Optional[int]),
-                                                ("order", str), ("find_all", bool)])):
+                                                ("find_all", bool)])):
     """Settings of one search, checked whenever one is built, by
     ``_make`` and ``_replace`` too."""
 
     __slots__ = ()
 
     def __new__(cls, node_budget: Optional[int] = DEFAULT_BUDGET,
-                order: str = ORDER_DEGREE, find_all: bool = False):
+                find_all: bool = False):
         if node_budget is not None and node_budget < 1:
             raise UsageError("node_budget must be >= 1 when present")
-        if order not in (ORDER_DEGREE, ORDER_NATURAL):
-            raise UsageError("order must be %r or %r" % (ORDER_DEGREE, ORDER_NATURAL))
-        return super().__new__(cls, node_budget, order, find_all)
+        if not isinstance(find_all, bool):
+            raise UsageError("find_all must be a bool, got %r" % (find_all,))
+        return super().__new__(cls, node_budget, find_all)
 
     @classmethod
     def _make(cls, iterable):
@@ -61,8 +58,8 @@ class SearchOutcome(NamedTuple):
 def find_labeling(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     """Exact search; sound and complete within the node budget.
 
-    Vertices are assigned in ``cfg.order`` (degree descending, or natural)
-    and labels tried in ascending order.  One node is counted per unused
+    Vertices are assigned by degree descending, ties by vertex id, and
+    labels tried in ascending order.  One node is counted per unused
     label tried; a search stops as Inconclusive on the first node past its
     budget (None means unlimited).  A branch is pruned as soon as some
     vertex of degree >= 2 has its whole neighborhood labeled with gcd >= 2.
@@ -73,12 +70,12 @@ def find_labeling(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOutcome
     nodes; the depth-first search gets the rest, so Exhausted refutes."""
     budget = cfg.node_budget
     if cfg.find_all:
-        return _backtrack(g, _vertex_order(g, cfg.order), budget, True)
+        return _backtrack(g, _vertex_order(g), budget, True)
     labeling, steps = _local_search(g, (budget or DEFAULT_BUDGET) // 64)
     if labeling is not None:
         return SearchOutcome(FOUND, labeling, 0, steps=steps)
     rest = None if budget is None else budget - steps
-    return _backtrack(g, _vertex_order(g, cfg.order), rest, False)._replace(steps=steps)
+    return _backtrack(g, _vertex_order(g), rest, False)._replace(steps=steps)
 
 
 def _local_search(g: Graph, max_steps: int) -> Tuple[Optional[Tuple[int, ...]], int]:
@@ -124,11 +121,10 @@ def _local_search(g: Graph, max_steps: int) -> Tuple[Optional[Tuple[int, ...]], 
     return (None if violated else tuple(label[1:])), steps
 
 
-def _vertex_order(g: Graph, order: str) -> List[int]:
-    """The vertices, by degree descending (a stable sort) for degree order."""
+def _vertex_order(g: Graph) -> List[int]:
+    """The vertices by degree descending, ties by vertex id (a stable sort)."""
     adj = g.adj
-    key = (lambda v: -len(adj[v])) if order == ORDER_DEGREE else None
-    return sorted(range(1, g.n + 1), key=key)
+    return sorted(range(1, g.n + 1), key=lambda v: -len(adj[v]))
 
 
 def _backtrack(g: Graph, order: List[int], budget: Optional[int],

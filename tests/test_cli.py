@@ -1,3 +1,5 @@
+import argparse
+
 import pytest
 
 from nplabel import cli
@@ -145,8 +147,28 @@ class TestVerify:
         assert code == EXIT_ERROR
         assert "error:" in err
 
+    @pytest.mark.parametrize("bad", ["graph", "labels"])
+    def test_not_utf8(self, capsys, tmp_path, bad):
+        files = {"graph": tmp_path / "p3.el", "labels": tmp_path / "p3.lab"}
+        files["graph"].write_text("3 2\n1 2\n2 3\n")
+        files["labels"].write_text("2\n1\n3\n")
+        files[bad].write_bytes(b"\xff\xfe\x00")
+        code, out, err = run(capsys, "verify", "--graph", str(files["graph"]),
+                             "--labels", str(files["labels"]))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("error: %s is not UTF-8 text" % files[bad])
+        assert err.count("\n") == 1
+
 
 class TestSearch:
+    def test_not_utf8(self, capsys, tmp_path):
+        g = tmp_path / "bad.el"
+        g.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run(capsys, "search", "--graph", str(g))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("error: %s is not UTF-8 text" % g)
+        assert err.count("\n") == 1
+
     def test_c6_exhausted_exit_2(self, capsys, tmp_path):
         g = tmp_path / "c6.el"
         g.write_text(write_edge_list(cycle_graph(6)))
@@ -256,6 +278,28 @@ class TestScanTrees:
 
 class TestUsageErrors:
     # argparse exits 2 on its own, which would read as "search exhausted"
+    def test_option_table(self, capsys, tmp_path):
+        # every subcommand's options, so that one added or dropped shows up
+        sub, = (a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+        options = {name: [s for a in p._actions for s in a.option_strings
+                          if s not in ("-h", "--help")]
+                   for name, p in sub.choices.items()}
+        assert options == {
+            "gen": ["--family", "--out", "--dot"],
+            "label": ["--family", "--out", "--graph-out"],
+            "verify": ["--graph", "--labels"],
+            "search": ["--graph", "--budget", "--all"],
+            "scan-trees": ["--max-n", "--budget", "--fail-dir"],
+            "match-coprime": ["--n"],
+        }
+        # a dropped option is a usage error: exit 1, never 2 ("exhausted")
+        g = tmp_path / "c5.el"
+        g.write_text(write_edge_list(cycle_graph(5)))
+        code, out, err = run(capsys, "search", "--graph", str(g), "--order", "nat")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert "--order" in err
+
     def test_missing_required_option(self, capsys):
         code, _, err = run(capsys, "search")
         assert code == EXIT_ERROR

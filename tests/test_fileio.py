@@ -12,7 +12,7 @@ from nplabel.fileio import (
     write_labels,
 )
 from nplabel.families import gear_graph, parse_family, generate
-from nplabel.graph import Graph, verify
+from nplabel.graph import Graph
 
 
 class TestParseEdgeList:
@@ -133,16 +133,6 @@ class TestDot:
         text = to_dot(Graph(2, [(1, 2)]))
         assert "graph G {" in text
         assert "v1 -- v2;" in text
-
-    def test_labels_included(self):
-        text = to_dot(Graph(2, [(1, 2)]), labels=[2, 1])
-        assert 'v1 [label="2"];' in text
-
-    def test_violations_highlighted(self):
-        g = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-        report = verify(g, [1, 2, 3, 4])
-        text = to_dot(g, labels=[1, 2, 3, 4], report=report)
-        assert text.count("lightpink") == 2
 
     def test_gear_has_all_vertices(self):
         g = gear_graph(3)

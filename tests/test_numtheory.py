@@ -11,7 +11,6 @@ from nplabel.numtheory import (
     CoprimeMatching,
     bertrand_prime,
     coprime_matching,
-    is_prime,
     primes_upto,
 )
 
@@ -33,12 +32,14 @@ class TestPrimes:
         assert primes_upto(1) == []
 
     def test_is_prime(self):
-        assert is_prime(2) and is_prime(97)
-        assert not is_prime(1) and not is_prime(0) and not is_prime(91)
+        # primality read off the sieve
+        primes = primes_upto(97)
+        assert 2 in primes and 97 in primes
+        assert 0 not in primes and 1 not in primes and 91 not in primes
 
     def test_sieve_growth(self):
         # exercise the incremental extension across several jumps
-        assert is_prime(10007)
+        assert primes_upto(10007)[-1] == 10007
         assert primes_upto(30)[-1] == 29
 
     def test_bertrand_examples(self):
@@ -47,12 +48,13 @@ class TestPrimes:
         assert bertrand_prime(10) == 11
 
     def test_bertrand_window(self):
+        primes = set(primes_upto(4000))
         for n in range(1, 2000):
             p = bertrand_prime(n)
             assert n < p <= 2 * n
-            assert is_prime(p)
+            assert p in primes
             # smallest such prime: nothing prime in (n, p)
-            assert all(not is_prime(q) for q in range(n + 1, p))
+            assert all(q not in primes for q in range(n + 1, p))
 
     def test_bertrand_guard(self):
         with pytest.raises(UsageError):

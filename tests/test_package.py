@@ -128,19 +128,27 @@ class TestRecords:
     def test_search_config_checks(self):
         with pytest.raises(UsageError, match="node_budget must be >= 1 when present"):
             SearchConfig(node_budget=0)
-        with pytest.raises(UsageError, match="order must be 'degree' or 'natural'"):
-            SearchConfig(order="x")
         with pytest.raises(UsageError, match="node_budget"):
             SearchConfig()._replace(node_budget=0)
-        assert SearchConfig(None) == (None, "degree", False)
-        assert SearchConfig(5)._replace(find_all=True) == SearchConfig(5, "degree", True)
+        assert SearchConfig(None) == (None, False)
+        assert SearchConfig(5)._replace(find_all=True) == SearchConfig(5, True)
+        assert SearchConfig._fields == ("node_budget", "find_all")
+
+    @pytest.mark.parametrize("find_all", ["natural", 1, None])
+    def test_search_config_find_all_is_a_bool(self, find_all):
+        # a stale positional call such as SearchConfig(5, "natural") must not
+        # turn on find_all
+        with pytest.raises(UsageError, match="find_all must be a bool"):
+            SearchConfig(5, find_all)
+        with pytest.raises(UsageError, match="find_all must be a bool"):
+            SearchConfig()._replace(find_all=find_all)
 
     def test_family_spec_repr(self):
         assert repr(FamilySpec("gear", (7,))) == "FamilySpec(kind='gear', args=(7,))"
 
     def test_search_config_repr(self):
         assert repr(SearchConfig()) == (
-            "SearchConfig(node_budget=10000000, order='degree', find_all=False)")
+            "SearchConfig(node_budget=10000000, find_all=False)")
 
     def test_defaults(self):
         assert SearchOutcome("exhausted", None, 5).all_solutions is None

@@ -11,8 +11,6 @@ from nplabel.search import (
     EXHAUSTED,
     FOUND,
     INCONCLUSIVE,
-    ORDER_DEGREE,
-    ORDER_NATURAL,
     SearchConfig,
     SearchOutcome,
     brute_force_oracle,
@@ -99,18 +97,13 @@ class TestFindLabeling:
         out = find_labeling(cycle_graph(6), SearchConfig(node_budget=None))
         assert out.status == EXHAUSTED
 
-    def test_natural_order_agrees(self):
-        for g in (cycle_graph(6), cycle_graph(7), star(5)):
-            a = find_labeling(g)
-            b = find_labeling(g, SearchConfig(order=ORDER_NATURAL))
-            assert a.status == b.status
-
     def test_find_all_matches_oracle(self):
         graphs = [path_graph(4), cycle_graph(5), star(4)] + random_connected()
         for g in graphs:
             oracle = brute_force_oracle(g, find_all=True)
-            for order in (ORDER_DEGREE, ORDER_NATURAL):
-                ours = find_labeling(g, SearchConfig(order=order, find_all=True))
+            # the search's degree order, then the kernel in the identity order
+            for ours in (find_labeling(g, SearchConfig(find_all=True)),
+                         search._backtrack(g, list(range(1, g.n + 1)), None, True)):
                 assert ours.status == oracle.status
                 assert sorted(ours.all_solutions) == sorted(oracle.all_solutions)
 
@@ -162,10 +155,9 @@ class TestLocalSearchFirst:
         assert verify(g, out.labeling).ok
 
     def test_vertex_order_is_stable(self):
-        # degree descending, ties by vertex id; natural order is the identity
+        # degree descending, ties by vertex id
         g = Graph(5, [(1, 5), (2, 3), (2, 5), (3, 4), (3, 5)])
-        assert search._vertex_order(g, ORDER_DEGREE) == [3, 5, 2, 1, 4]
-        assert search._vertex_order(g, ORDER_NATURAL) == [1, 2, 3, 4, 5]
+        assert search._vertex_order(g) == [3, 5, 2, 1, 4]
 
     def test_local_search_repeats(self):
         # seeded by the edge list, the local search gives a graph the same
@@ -180,24 +172,23 @@ class TestLocalSearchFirst:
 class TestKernelGolden:
     # find_all status, nodes explored and solution count, pinned so that a
     # change to the search order or pruning shows up
+    GRAPHS = [
+        cycle_graph(5),
+        cycle_graph(6),
+        path_graph(6),
+        star(5),
+        random_tree(8, 1),
+        random_tree(8, 2),
+    ]
+
     @staticmethod
-    def golden(order):
-        graphs = [
-            cycle_graph(5),
-            cycle_graph(6),
-            path_graph(6),
-            star(5),
-            random_tree(8, 1),
-            random_tree(8, 2),
-        ]
-        got = []
-        for g in graphs:
-            out = find_labeling(g, SearchConfig(order=order, find_all=True))
-            got.append((out.status, out.nodes_explored, len(out.all_solutions)))
-        return got
+    def counts(out):
+        return out.status, out.nodes_explored, len(out.all_solutions)
 
     def test_golden_counts(self):
-        assert self.golden(ORDER_DEGREE) == [
+        got = [self.counts(find_labeling(g, SearchConfig(find_all=True)))
+               for g in self.GRAPHS]
+        assert got == [
             (FOUND, 277, 60),
             (EXHAUSTED, 916, 0),
             (FOUND, 1008, 136),
@@ -207,7 +198,10 @@ class TestKernelGolden:
         ]
 
     def test_golden_counts_natural_order(self):
-        assert self.golden(ORDER_NATURAL) == [
+        # the kernel alone, in the identity vertex order
+        got = [self.counts(search._backtrack(g, list(range(1, g.n + 1)), None, True))
+               for g in self.GRAPHS]
+        assert got == [
             (FOUND, 277, 60),
             (EXHAUSTED, 916, 0),
             (FOUND, 1008, 136),
@@ -239,10 +233,6 @@ class TestConfig:
     def test_invalid_budget(self):
         with pytest.raises(UsageError):
             SearchConfig(node_budget=0)
-
-    def test_invalid_order(self):
-        with pytest.raises(UsageError):
-            SearchConfig(order="random")
 
     def test_outcome_is_frozen(self):
         out = SearchOutcome(FOUND, (1,), 1)

@@ -23,9 +23,7 @@ _EXPORTS = {
     "Graph": "graph",
     "VerificationReport": "graph",
     "Violation": "graph",
-    "gcd_of": "graph",
     "is_tree": "graph",
-    "neighborhood": "graph",
     "verify": "graph",
     "FamilySpec": "families",
     "generate": "families",
@@ -49,7 +47,6 @@ _EXPORTS = {
     "label_spider": "labelers",
     "label_star_gon": "labelers",
     "shifted_path_labels": "labelers",
-    "snake_supported": "labelers",
     "CoprimeMatching": "numtheory",
     "bertrand_prime": "numtheory",
     "coprime_matching": "numtheory",

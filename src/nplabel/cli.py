@@ -199,6 +199,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
+    except (MemoryError, OverflowError) as exc:
+        # a size too large to hold, such as path:4611686018427387904
+        print("error: size too large to hold (%s)" % type(exc).__name__, file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

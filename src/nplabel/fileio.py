@@ -32,6 +32,7 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError("header must hold two integers", lineno)
         if n < 1 or m < 0:
             raise ParseError("need n >= 1 and m >= 0", lineno)
+        header = lineno
         break
     else:
         raise ParseError("missing header line")
@@ -58,6 +59,8 @@ def parse_edge_list(text: str) -> Graph:
     except UsageError as exc:
         # the range test above is stricter than Graph's, so this is a duplicate
         raise ParseError(str(exc), lineno)
+    except (MemoryError, OverflowError):
+        raise ParseError("vertex count %d is too large to hold" % n, header)
     if g.m != m:
         raise ParseError("header declares %d edges but %d given" % (m, g.m))
     return g

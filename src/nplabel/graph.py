@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import deque
-from functools import reduce
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import LabelingInvalid, UsageError
@@ -119,25 +118,9 @@ class VerificationReport(NamedTuple):
     checked_count: int
 
 
-def gcd_of(values) -> int:
-    """Greatest common divisor of a nonempty collection of positive integers."""
-    values = list(values)
-    if not values:
-        raise UsageError("gcd_of requires a nonempty list")
-    if any(v < 1 for v in values):
-        raise UsageError("gcd_of requires positive integers")
-    return reduce(math.gcd, values)
-
-
 def check_vertex(g: Graph, v: int) -> None:
     if not 1 <= v <= g.n:
         raise UsageError("vertex %d out of range 1..%d" % (v, g.n))
-
-
-def neighborhood(g: Graph, v: int):
-    """Sorted open neighborhood of v."""
-    check_vertex(g, v)
-    return list(g.adj[v])
 
 
 def check_bijection(g: Graph, labels: Labeling) -> None:

@@ -76,15 +76,6 @@ def label_gear(n: int) -> List[int]:
     return labels
 
 
-def snake_supported(k: int, n: int) -> bool:
-    """True iff label_snake has a constructive formula for (k, n)."""
-    if k < 3 or n < 2:
-        return False
-    if k in (3, 4, 5):
-        return True
-    return _polygonal_case(k, n)
-
-
 def _is_pow2(x: int) -> bool:
     return x >= 2 and (x & (x - 1)) == 0
 

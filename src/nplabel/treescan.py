@@ -11,7 +11,7 @@ scan relies on.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import UsageError
 from .graph import Graph, is_tree, verify, with_pendant
@@ -30,17 +30,11 @@ def ahu_canonical(t: Graph) -> str:
     """Canonical string of a free tree: AHU encoding rooted at the center
     (for bicentral trees, the center whose string is least)."""
     _require_tree(t, "ahu_canonical")
-    return _canonical_rooting(t.adj)[0]
+    return _canonical_rooting(t.adj)
 
 
-def tree_centers(t: Graph) -> List[int]:
-    """The 1 or 2 centers of a tree, by iterative leaf stripping."""
-    _require_tree(t, "tree_centers")
-    return _canonical_rooting(t.adj)[1]
-
-
-def _canonical_rooting(adj):
-    """AHU string and sorted centers of the tree ``adj``.
+def _canonical_rooting(adj) -> str:
+    """AHU string of the tree ``adj``, rooted at its center.
 
     Leaves are stripped layer by layer until the center or the two centers
     are left; each stripped vertex's string is built from its children's,
@@ -69,11 +63,10 @@ def _canonical_rooting(adj):
                     if degree[u] == 1:
                         nxt.append(u)
         layer = nxt
-    centers = sorted(layer)
-    if len(centers) == 1:
-        return encode(centers[0]), centers
-    low, high = centers
-    return min(encode(low, [encode(high)]), encode(high, [encode(low)])), centers
+    if len(layer) == 1:
+        return encode(layer[0])
+    a, b = layer
+    return min(encode(a, [encode(b)]), encode(b, [encode(a)]))
 
 
 # -- primary generator: Wright-Richmond-Odlyzko-McKay -------------------------
@@ -107,7 +100,7 @@ def _second_subtree(levels: List[int]) -> int:
         return len(levels)
 
 
-def _tree_from_levels(levels: List[int]) -> Graph:
+def _tree_from_levels(levels: Sequence[int]) -> Graph:
     """Tree whose vertex i+1 is position i of the level sequence.
 
     The adjacency lists are built in the walk itself: the parent of v is
@@ -138,17 +131,13 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
     comparison reads the heights, then the sizes, from the sequence itself
     and builds the two shifted sequences only when both tie.
 
-    Vertex i+1 of each tree is position i of its level sequence, so the
-    vertices are numbered in preorder from the root, vertex 1: each vertex
-    v >= 2 has exactly one smaller neighbour, its parent, which is
-    ``adj[v][0]``.  The scan's shape memo (``_strip_leaves``) relies on
-    this.  A level sequence is a tree by construction, so each Graph is
-    built from its adjacency lists with no per-edge check
-    (``_tree_from_levels``)."""
+    Each tree is ``_tree_from_levels`` of its level sequence, rooted at a
+    center, vertex 1, and numbered in preorder: the parent of v >= 2 is
+    ``adj[v][0]``, which the scan's shape key (``_strip_leaves``) reads."""
     if not (1 <= n <= MAX_ENUM_N):
         raise UsageError("tree enumeration supports 1 <= n <= %d" % MAX_ENUM_N)
     if n == 1:
-        yield Graph(1, [])
+        yield _tree_from_levels([1])
         return
     # the path, rooted at a center
     levels = list(range(1, n // 2 + 2)) + list(range(2, (n + 1) // 2 + 1))
@@ -210,13 +199,6 @@ def crosscheck_tree_counts(max_n: int) -> List[Tuple[int, int, int]]:
 # -- conjecture scan ---------------------------------------------------------
 
 
-def _induced(t: Graph, vertices) -> Graph:
-    """The subgraph of t on ``vertices``, vertex i+1 being ``vertices[i]``."""
-    rank = {v: i for i, v in enumerate(vertices, 1)}
-    return Graph(len(rank), [(rank[u], rank[v]) for u, v in t.edges
-                             if u in rank and v in rank])
-
-
 def _strip_leaves(t: Graph):
     """(stripped, kept, shape): strip each leaf whose neighbour has
     degree >= 3, in vertex order, leaving the tree's pendant core.
@@ -224,18 +206,13 @@ def _strip_leaves(t: Graph):
     Stripping leaves the neighbour with degree >= 2, so it never makes a new
     leaf and one pass over the leaves suffices.  ``stripped`` lists the
     leaves removed, in removal order, and ``kept`` the other vertices, in
-    vertex order; the core is ``_induced(t, kept)``.  By the pendant lemma
-    (``labelers.extend_pendant``) any labeling of the core extends to the
-    tree (``_tree_labeling``).
+    vertex order.  By the pendant lemma (``labelers.extend_pendant``) any
+    labeling of the core extends to the tree (``_tree_labeling``).
 
     ``shape`` is the tuple of the kept vertices' levels below vertex 1,
-    taking ``adj[v][0]`` as the parent of v >= 2.  On a tree numbered in
-    preorder, as ``enumerate_free_trees`` numbers it, that is the parent
-    and ``shape`` is the level sequence of the rooted core: trees with the
-    same shape have the identical core Graph, kept vertex i of one being
-    kept vertex i of the other.  (A stripped leaf is nobody's parent unless
-    it is vertex 1, and then its one child roots the core.)  On any other
-    numbering ``shape`` means nothing."""
+    taking ``adj[v][0]`` as the parent of v >= 2.  On a tree from
+    ``enumerate_free_trees`` it is the core's level sequence, so the core
+    is ``_tree_from_levels(shape)``, its vertex i+1 being ``kept[i]``."""
     adj = t.adj
     degree = list(map(len, adj))
     level = [0] * (t.n + 1)
@@ -315,14 +292,13 @@ def scan_conjecture(
     search), and its labeling is extended to the tree and verified.
 
     One memo, spanning sizes, holds each core's search outcome, keyed by
-    the core's rooted shape, which the strip loop yields at no extra cost
-    since the trees come numbered in preorder.  Trees with the same shape
-    have the identical core Graph, so each shape's core is searched once
-    and its labels serve every tree with that shape.  A tree whose core
-    search is exhausted gets the full search of the tree itself, so
-    Exhausted always comes from a full-tree search; so does a tree that had
-    leaves stripped and whose core search is inconclusive.  An irreducible
-    tree is its own core, so an inconclusive core search is its result.
+    the core's level sequence (``shape``), from which the core is built, so
+    each shape's core is searched once and its labels serve every tree
+    with that shape.  A tree whose core search is exhausted gets the full
+    search of the tree itself, so Exhausted always comes from a full-tree
+    search; so does a tree that had leaves stripped and whose core search
+    is inconclusive.  An irreducible tree is its own core, so an
+    inconclusive core search is its result.
 
     The scan needs one labeling per tree, so ``cfg.find_all`` is refused.
     ``jobs`` accepts only 1.  It is kept for existing callers that pass
@@ -346,7 +322,7 @@ def scan_conjecture(
             stripped, kept, shape = _strip_leaves(t)
             outcome = memo.get(shape)
             if outcome is None:
-                outcome = memo[shape] = find_labeling(_induced(t, kept), cfg)
+                outcome = memo[shape] = find_labeling(_tree_from_levels(shape), cfg)
                 nodes += outcome.nodes_explored
                 steps += outcome.steps
                 core_searches += 1

@@ -326,3 +326,31 @@ class TestMatchCoprime:
         code, _, err = run(capsys, "match-coprime", "--n", "0")
         assert code == EXIT_ERROR
         assert "error:" in err
+
+
+class TestSizeTooLarge:
+    # 2^62 and 2^64 are refused by CPython before anything is allocated:
+    # 2^62 list slots or bits overflow the address space (MemoryError), and
+    # 2^64 does not fit a C ssize_t (OverflowError)
+    @pytest.mark.parametrize("command", ["search", "verify"])
+    @pytest.mark.parametrize("n", ["4611686018427387904", "18446744073709551616"])
+    def test_edge_list_header(self, capsys, tmp_path, command, n):
+        g = tmp_path / "huge.el"
+        g.write_text("%s 0\n" % n)
+        labels = tmp_path / "one.lab"
+        labels.write_text("1\n")
+        argv = ["--graph", str(g)] + (["--labels", str(labels)] if command == "verify" else [])
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: line 1: vertex count %s is too large to hold\n" % n
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["gen", "--family", "path:4611686018427387904"], "MemoryError"),
+        (["label", "--family", "gear:4611686018427387904"], "OverflowError"),
+        (["match-coprime", "--n", "4611686018427387904"], "MemoryError"),
+        (["gen", "--family", "path:18446744073709551616"], "OverflowError"),
+    ])
+    def test_family_and_matching_sizes(self, capsys, argv, kind):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: size too large to hold (%s)\n" % kind

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -387,3 +388,19 @@ class TestDigest:
                 generate(parse_family(text))
             h.update(repr((text, type(info.value).__name__, str(info.value))).encode())
         assert h.hexdigest() == FAULTS_DIGEST
+
+
+# input checks that no other test reaches: (function, arguments, error, message)
+INPUT_CHECKS = [
+    (star_gon_graph, (2, 3), InvalidSpec, "star-gon requires k >= 3, got k=2"),
+    (full_binary_graph, ((),), InvalidSpec, "shape must be a nonempty 0/1 sequence"),
+    (full_binary_graph, ((1, 2, 0),), InvalidSpec, "shape must be a nonempty 0/1 sequence"),
+    (cayley_graph, (2, (1, 0, 0)), InvalidSpec, "Cayley tree requires k >= 3, got k=2"),
+]
+
+
+@pytest.mark.parametrize("fn, args, error, message", INPUT_CHECKS,
+                         ids=["%s%r" % (fn.__name__, args) for fn, args, _, _ in INPUT_CHECKS])
+def test_input_checks(fn, args, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        fn(*args)

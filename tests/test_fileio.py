@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -139,3 +140,23 @@ class TestDot:
         text = to_dot(g)
         for v in range(1, 8):
             assert ("v%d" % v) in text
+
+
+# input checks, each with the text, the error and its message
+INPUT_CHECKS = [
+    ("0 0\n", ParseError, "line 1: need n >= 1 and m >= 0"),
+    ("3 -1\n", ParseError, "line 1: need n >= 1 and m >= 0"),
+    ("3 2\n1 2 3\n2 3\n", ParseError, "line 2: edge line must be 'u v'"),
+    ("3 2\n1 x\n2 3\n", ParseError, "line 2: edge endpoints must be integers"),
+    # a vertex count too large to hold is refused before anything is
+    # allocated, on the header line
+    ("# huge\n4611686018427387904 0\n", ParseError,
+     "line 2: vertex count 4611686018427387904 is too large to hold"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", INPUT_CHECKS,
+                         ids=[repr(text) for text, _, _ in INPUT_CHECKS])
+def test_input_checks(text, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        parse_edge_list(text)

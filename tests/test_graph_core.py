@@ -8,18 +8,17 @@ from functools import reduce
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from nplabel.errors import LabelingInvalid, UsageError
 from nplabel.families import (gear_graph, snake_graph, snake_vertex_count,
                                star_gon_graph)
 from nplabel.graph import (
     Graph,
+    check_vertex,
     contract,
-    gcd_of,
     is_connected,
     is_tree,
-    neighborhood,
     VerificationReport,
     Violation,
     bfs_dist,
@@ -278,62 +277,21 @@ class TestGraph:
         assert pickle.loads(pickle.dumps(g)) == g
 
 
-class TestGcdOf:
-    def test_consecutive_odds(self):
-        assert gcd_of([3, 5, 7]) == 1
-
-    def test_singleton(self):
-        assert gcd_of([6]) == 6
-
-    def test_common_factor(self):
-        assert gcd_of([4, 6, 10]) == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(UsageError):
-            gcd_of([])
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(UsageError):
-            gcd_of([0, 3])
-
-    @given(
-        st.integers(1, 10**6),
-        st.integers(1, 10**6),
-        st.integers(0, 1000),
-        st.integers(0, 1000),
-    )
-    def test_linear_combination_first_argument(self, a, b, c, d):
-        # gcd{a, b} is invariant under replacing a with c*a + d*b as long as
-        # c shares no factor with b (c = 1 is the usual case)
-        assume(math.gcd(c, b) == 1)
-        assume(c * a + d * b >= 1)
-        assert gcd_of([a, b]) == gcd_of([c * a + d * b, b])
-
-    @given(
-        st.integers(1, 10**6),
-        st.integers(1, 10**6),
-        st.integers(0, 1000),
-        st.integers(0, 1000),
-    )
-    def test_linear_combination_second_argument(self, a, b, c, d):
-        assume(math.gcd(d, a) == 1)
-        assume(c * a + d * b >= 1)
-        assert gcd_of([a, b]) == gcd_of([a, c * a + d * b])
-
-
 class TestNeighborhood:
+    """``adj[v]`` is the sorted open neighborhood of v."""
+
     def test_path_interior(self):
-        assert neighborhood(P(3), 2) == [1, 3]
+        assert P(3).adj[2] == (1, 3)
 
     def test_path_end(self):
-        assert neighborhood(P(3), 1) == [2]
+        assert P(3).adj[1] == (2,)
 
     def test_cycle(self):
-        assert neighborhood(C(4), 1) == [2, 4]
+        assert C(4).adj[1] == (2, 4)
 
     def test_out_of_range(self):
-        with pytest.raises(UsageError):
-            neighborhood(P(3), 4)
+        with pytest.raises(UsageError, match="^vertex 4 out of range 1..3$"):
+            check_vertex(P(3), 4)
 
 
 class TestVerify:

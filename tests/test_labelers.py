@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -46,7 +47,6 @@ from nplabel.labelers import (
     label_spider,
     label_star_gon,
     shifted_path_labels,
-    snake_supported,
 )
 from nplabel.treescan import enumerate_free_trees
 
@@ -163,20 +163,22 @@ class TestLabelSnake:
 
     def test_verifies_sample_large_k(self):
         for k, n in [(6, 3), (6, 7), (9, 3), (8, 4), (8, 5), (10, 3), (7, 4)]:
-            assert snake_supported(k, n)
             assert verify(snake_graph(k, n), label_snake(k, n)).ok
 
     def test_unsupported_raises(self):
-        assert not snake_supported(6, 4)
         with pytest.raises(UnsupportedParameters):
             label_snake(6, 4)
         with pytest.raises(UnsupportedParameters):
             label_snake(7, 5)
 
     def test_supported_predicate_bounds(self):
-        assert not snake_supported(2, 3)
-        assert not snake_supported(6, 2)
-        assert snake_supported(4, 2)
+        # the edges of the supported parameters: below them label_snake
+        # raises, at them it labels
+        with pytest.raises(InvalidSpec, match="^snake requires k >= 3, got k=2$"):
+            label_snake(2, 3)
+        with pytest.raises(UnsupportedParameters, match="^no constructive labeling"):
+            label_snake(6, 2)
+        assert verify(snake_graph(4, 2), label_snake(4, 2)).ok
 
 
 class TestContractOneMax:
@@ -541,3 +543,26 @@ class TestLabelFullBinary:
         with pytest.raises(UnsupportedStructure) as excinfo:
             label_full_binary(g)
         assert str(excinfo.value) == message
+
+
+# input checks that no other test reaches: (function, arguments, error, message).
+# P4 labelled 1, 3, 2, 4 along the path is neighborhood-prime.
+INPUT_CHECKS = [
+    (label_gear, (2,), InvalidSpec, "gear requires n >= 3, got 2"),
+    (label_snake, (6, 1), InvalidSpec, "snake requires n >= 2, got n=1"),
+    (contract_one_max, (path_graph(4), [1, 3, 2, 4], 1, 3), PreconditionViolated,
+     "f(u2) must be n=4, got 2"),
+    (contract_one_max, (path_graph(4), [1, 3, 2, 4], 1, 4), PreconditionViolated,
+     "u1 or u2 must have degree > 1"),
+    (label_star_gon, (3, 2), InvalidSpec, "star-gon requires n >= 3, got n=2"),
+    (label_book5, (0,), InvalidSpec, "book requires n >= 1, got 0"),
+    (label_mobius, (2,), InvalidSpec, "mobius requires n >= 3, got 2"),
+    (label_caterpillar, ([1, -1],), InvalidSpec, "pendant counts must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("fn, args, error, message", INPUT_CHECKS,
+                         ids=["%s%r" % (fn.__name__, args) for fn, args, _, _ in INPUT_CHECKS])
+def test_input_checks(fn, args, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        fn(*args)

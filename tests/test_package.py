@@ -5,6 +5,8 @@ Top-level names resolve on first use (``nplabel.__getattr__``), so a caller
 pays only for the submodules it reads; the records are NamedTuples, which
 need neither ``dataclasses`` nor ``inspect``."""
 
+import ast
+import glob
 import importlib
 import json
 import os
@@ -23,21 +25,21 @@ from nplabel.search import SearchConfig, SearchOutcome
 from nplabel.treescan import ConjectureReport, SizeResult, scan_conjecture
 
 SRC = os.path.dirname(os.path.dirname(nplabel.__file__))
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 # Every top-level name, by the submodule that defines it.
 EXPORTS = {
     "errors": ("InvalidSpec", "LabelingInvalid", "NPLabelError", "ParseError",
                "PreconditionViolated", "UnsupportedParameters",
                "UnsupportedStructure", "UsageError"),
-    "graph": ("Graph", "VerificationReport", "Violation", "gcd_of", "is_tree",
-              "neighborhood", "verify"),
+    "graph": ("Graph", "VerificationReport", "Violation", "is_tree", "verify"),
     "families": ("FamilySpec", "generate", "parse_family", "random_tree"),
     "labelers": ("HEAD_MIN", "INTERIOR_MIN", "contract_one_max", "extend_pendant",
                  "label_banana", "label_bivalent_free", "label_book", "label_book5",
                  "label_caterpillar", "label_firecracker", "label_full_binary",
                  "label_gear", "label_mobius", "label_path", "label_snake",
-                 "label_spider", "label_star_gon", "shifted_path_labels",
-                 "snake_supported"),
+                 "label_spider", "label_star_gon", "shifted_path_labels"),
     "numtheory": ("CoprimeMatching", "bertrand_prime", "coprime_matching"),
     "search": ("EXHAUSTED", "FOUND", "INCONCLUSIVE", "SearchConfig", "SearchOutcome",
                "brute_force_oracle", "find_labeling", "kernel_name"),
@@ -80,7 +82,7 @@ class TestImportFootprint:
 
 class TestExports:
     def test_names_pinned(self):
-        assert len(nplabel.__all__) == 54
+        assert len(nplabel.__all__) == 51
         assert nplabel.__all__ == sorted(n for names in EXPORTS.values() for n in names)
 
     @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items()
@@ -100,6 +102,49 @@ class TestExports:
             nplabel.no_such_name
         with pytest.raises(ImportError):
             exec("from nplabel import no_such_name", {})
+
+
+def referenced_names(statement):
+    """Every name a statement reads: names, attributes, imported names, and
+    the last part of a dotted ``"nplabel.x.y"`` string, which is how the
+    benchmark names what it traces.  Other strings (docstrings) are not
+    read."""
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.startswith("nplabel.")):
+            names.add(node.value.rsplit(".", 1)[-1])
+    return names
+
+
+class TestProgramReferences:
+    def test_test_only_names_pinned(self):
+        # public top-level functions and classes that nothing else in the
+        # program reads: no other module of src/nplabel or perfbench/, and no
+        # other top-level statement of their own module.  These three are
+        # the oracle and the cross-checks the tests compare against; a new
+        # one is code that only tests run.
+        statements = []  # (defined in src/nplabel, statement, names it reads)
+        for pattern in (os.path.join(SRC, "nplabel", "*.py"),
+                        os.path.join(PERFBENCH, "*.py")):
+            for path in glob.glob(pattern):
+                with open(path) as fh:
+                    statements += [(pattern.startswith(SRC), node, referenced_names(node))
+                                   for node in ast.parse(fh.read()).body]
+        unread = {
+            node.name for in_src, node, _ in statements
+            if in_src and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and not any(node.name in names for _, other, names in statements
+                        if other is not node)
+        }
+        assert unread == {"brute_force_oracle", "crosscheck_tree_counts", "extend_pendant"}
 
 
 RECORDS = [

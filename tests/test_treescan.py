@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import product
@@ -24,7 +25,6 @@ from nplabel.treescan import (
     enumerate_free_trees,
     enumerate_free_trees_by_extension,
     scan_conjecture,
-    tree_centers,
 )
 
 # counts of non-isomorphic trees on 1..16 vertices (OEIS A000055)
@@ -49,6 +49,14 @@ def count_free_trees_by_pruefer(n):
 def permuted(g, perm):
     """Relabel g by the permutation perm (1-based mapping list)."""
     return Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+
+
+def _induced(t, vertices):
+    """Reference core: the subgraph of t on ``vertices``, vertex i+1 being
+    ``vertices[i]``, built through the checked constructor."""
+    rank = {v: i for i, v in enumerate(vertices, 1)}
+    return Graph(len(rank), [(rank[u], rank[v]) for u, v in t.edges
+                             if u in rank and v in rank])
 
 
 def reference_rooted_encoding(t, root):
@@ -108,6 +116,16 @@ class TestAhuCanonical:
         with pytest.raises(UsageError):
             ahu_canonical(Graph(3, [(1, 2), (2, 3), (1, 3)]))
 
+    @pytest.mark.parametrize("g", [
+        # a triangle with a tail: the leaf stripping never empties a layer
+        Graph(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5)]),
+        Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),  # C4
+        Graph(4, [(1, 2), (3, 4)]),  # disconnected
+    ])
+    def test_non_trees_rejected(self, g):
+        with pytest.raises(UsageError, match="^ahu_canonical requires a tree$"):
+            ahu_canonical(g)
+
     def test_golden_strings(self):
         # the string names the scan's failed and inconclusive trees and
         # deduplicates the extension generator
@@ -116,7 +134,7 @@ class TestAhuCanonical:
         # bicentral, centers 1 and 2: rooted at 1 the string is
         # "((())()())", rooted at 2 "((()())())", which is smaller
         spur = Graph(5, [(1, 2), (1, 4), (1, 5), (2, 3)])
-        assert tree_centers(spur) == [1, 2]
+        assert reference_centers(spur) == [1, 2]
         assert ahu_canonical(spur) == "((()())())"
 
     def test_golden_core(self):
@@ -130,7 +148,7 @@ class TestAhuCanonical:
         t = Graph(15, relabelled + [(14, 15)])
         stripped, kept, _ = treescan._strip_leaves(t)
         assert (stripped, kept) == ([15], list(range(1, 15)))
-        core = treescan._induced(t, kept)
+        core = _induced(t, kept)
         assert core == Graph(14, relabelled)
         assert ahu_canonical(core) == code
         out = find_labeling(core, SearchConfig())
@@ -156,32 +174,11 @@ class TestEncoderAgainstReference:
         for t in self.sample():
             centers = reference_centers(t)
             codes = [reference_rooted_encoding(t, c)[0] for c in centers]
-            assert tree_centers(t) == centers
             assert ahu_canonical(t) == min(codes)
             if len(codes) == 2:
                 second_wins += codes[1] < codes[0]
                 ties += codes[1] == codes[0]
         assert second_wins and ties
-
-
-class TestTreeCenters:
-    def test_path_centers(self):
-        assert tree_centers(Graph(3, [(1, 2), (2, 3)])) == [2]
-        assert tree_centers(Graph(4, [(1, 2), (2, 3), (3, 4)])) == [2, 3]
-
-    def test_singleton(self):
-        assert tree_centers(Graph(1, [])) == [1]
-
-    @pytest.mark.parametrize("g", [
-        # a triangle with a tail: the leaf stripping never empties a layer
-        Graph(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5)]),
-        Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),  # C4
-        Graph(4, [(1, 2), (3, 4)]),  # disconnected
-    ])
-    @pytest.mark.parametrize("fn", [ahu_canonical, tree_centers])
-    def test_non_trees_rejected(self, fn, g):
-        with pytest.raises(UsageError, match="^%s requires a tree$" % fn.__name__):
-            fn(g)
 
 
 class TestEnumeration:
@@ -309,8 +306,8 @@ class TestScanConjecture:
         assert len(set(cores)) == 158
 
     def test_graph_builds_counted(self, monkeypatch):
-        # the enumerated trees skip the checked constructor: a scan to 14
-        # builds through it only the 158 cores and the one-vertex tree
+        # the enumerated trees and the cores built from their shapes all
+        # skip the checked constructor
         calls = []
         checked_init = Graph.__init__
 
@@ -321,7 +318,7 @@ class TestScanConjecture:
         monkeypatch.setattr(Graph, "__init__", counting)
         report = scan_conjecture(14)
         assert sum(r.tree_count for r in report.rows) == 5447
-        assert len(calls) == 159
+        assert len(calls) == 0
 
     def test_table_output(self):
         text = scan_conjecture(3).table()
@@ -351,13 +348,13 @@ class TestPendantCore:
         star = Graph(6, [(1, v) for v in range(2, 7)])
         stripped, kept, _ = treescan._strip_leaves(star)
         assert (stripped, kept) == ([2, 3, 4], [1, 5, 6])
-        assert treescan._induced(star, kept) == Graph(3, [(1, 2), (1, 3)])
+        assert _induced(star, kept) == Graph(3, [(1, 2), (1, 3)])
 
     def test_core_labeling_extends_to_tree(self):
         for n in range(1, 12):
             for t in enumerate_free_trees(n):
-                stripped, kept, _ = treescan._strip_leaves(t)
-                core = treescan._induced(t, kept)
+                stripped, kept, shape = treescan._strip_leaves(t)
+                core = treescan._tree_from_levels(shape)
                 labels = treescan._tree_labeling(
                     kept, stripped, find_labeling(core).labeling)
                 assert verify(t, labels).ok
@@ -372,21 +369,20 @@ class TestShapeKey:
                     assert t.adj[v][0] < v and all(u > v for u in t.adj[v][1:])
 
     def test_same_shape_same_core(self):
-        # the memo keeps one search per shape: trees that share a shape
-        # build the identical core Graph in kept-vertex numbering
-        first = {}
-        pairs = 0
+        # the memo keeps one search per shape: the core built from the
+        # shape is the tree's subgraph on the kept vertices, in kept-vertex
+        # numbering, and vertex 1, a center, is never stripped
+        shapes = set()
+        trees = 0
         for n in range(1, 14):
             for t in enumerate_free_trees(n):
                 _, kept, shape = treescan._strip_leaves(t)
-                core = treescan._induced(t, kept)
-                if shape not in first:
-                    first[shape] = core
-                    continue
-                assert core == first[shape]
-                pairs += 1
+                assert shape[0] == 1
+                assert treescan._tree_from_levels(shape) == _induced(t, kept)
+                shapes.add(shape)
+                trees += 1
         # 2,288 trees to 13 vertices have 86 distinct shapes
-        assert (len(first), pairs) == (86, 2288 - 86)
+        assert (len(shapes), trees) == (86, 2288)
 
 
 class TestScanReduction:
@@ -494,3 +490,19 @@ class TestScanSettles:
         star_gon = find_labeling(generate(parse_family("stargon:6,4")))
         assert (star_gon.nodes_explored, star_gon.steps) == (0, 194)
         assert runs == ["%s\n%s\n" % (here, star_gon)] * 2
+
+
+# input checks that no other test reaches: (function, arguments, error, message)
+INPUT_CHECKS = [
+    (enumerate_free_trees_by_extension, (0,), UsageError,
+     "tree enumeration supports 1 <= n <= 18"),
+    (enumerate_free_trees_by_extension, (19,), UsageError,
+     "tree enumeration supports 1 <= n <= 18"),
+]
+
+
+@pytest.mark.parametrize("fn, args, error, message", INPUT_CHECKS,
+                         ids=["%s%r" % (fn.__name__, args) for fn, args, _, _ in INPUT_CHECKS])
+def test_input_checks(fn, args, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        fn(*args)

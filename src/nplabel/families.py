@@ -83,7 +83,7 @@ def _snake_edges(k: int, n: int):
 
 def star_gon_graph(k: int, n: int) -> Graph:
     """Star (k,n)-gon: the snake S_{k,n+1} with its last vertex m merged into
-    vertex 1, built from the snake's edges; equal to contract(snake, 1, m)."""
+    vertex 1, built from the snake's edges (an edge u-m becomes 1-u)."""
     if k < 3:
         raise InvalidSpec("star-gon requires k >= 3, got k=%d" % k)
     if n < 3:
@@ -243,8 +243,7 @@ def complete_binary_graph(n_nodes: int) -> Graph:
     """Complete binary tree on ids 1..n with children 2v and 2v+1."""
     if n_nodes < 1:
         raise InvalidSpec("complete binary tree requires >= 1 node")
-    return _rooted_tree_from_pattern(
-        [max(0, min(2, n_nodes + 1 - 2 * v)) for v in range(1, n_nodes + 1)])
+    return Graph(n_nodes, ((v // 2, v) for v in range(2, n_nodes + 1)))
 
 
 def random_tree(n: int, seed: int) -> Graph:
@@ -256,7 +255,9 @@ def random_tree(n: int, seed: int) -> Graph:
     if n == 2:
         return Graph(2, [(1, 2)])
     rng = random.Random(seed)
-    seq = [rng.randint(1, n) for _ in range(n - 2)]
+    seq = [0] * (n - 2)  # allocated first, so a size too large fails at once
+    for i in range(n - 2):
+        seq[i] = rng.randint(1, n)
     return tree_from_pruefer(n, seq)
 
 

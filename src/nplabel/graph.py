@@ -179,32 +179,6 @@ def is_tree(g: Graph) -> bool:
     return g.m == g.n - 1 and is_connected(g)
 
 
-def contract(g: Graph, a: int, b: int) -> Graph:
-    """Merge vertices a and b into one vertex whose neighborhood is the union.
-
-    The merged vertex takes id min(a, b); ids above max(a, b) shift down by
-    one so the result lives on 1..n-1.  Parallel edges collapse; a contracted
-    edge ab would become a self-loop and is dropped.
-    """
-    check_vertex(g, a)
-    check_vertex(g, b)
-    if a == b:
-        raise UsageError("cannot contract a vertex with itself")
-    keep, remove = (a, b) if a < b else (b, a)
-
-    def remap(v):
-        if v == remove:
-            return keep
-        return v - 1 if v > remove else v
-
-    edges = set()
-    for u, v in g.edges:
-        u, v = remap(u), remap(v)
-        if u != v:
-            edges.add((u, v) if u < v else (v, u))
-    return Graph(g.n - 1, edges)
-
-
 def with_pendant(g: Graph, v: int) -> Graph:
     """New graph with an extra vertex n+1 attached to v by a pendant edge."""
     check_vertex(g, v)

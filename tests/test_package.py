@@ -125,11 +125,11 @@ def referenced_names(statement):
 
 class TestProgramReferences:
     def test_test_only_names_pinned(self):
-        # public top-level functions and classes that nothing else in the
-        # program reads: no other module of src/nplabel or perfbench/, and no
-        # other top-level statement of their own module.  These three are
-        # the oracle and the cross-checks the tests compare against; a new
-        # one is code that only tests run.
+        # top-level functions and classes, private ones included (dunders
+        # aside), that nothing else in the program reads: no other module of
+        # src/nplabel or perfbench/, and no other top-level statement of
+        # their own module.  These three are the oracle and the cross-checks
+        # the tests compare against; a new one is code that only tests run.
         statements = []  # (defined in src/nplabel, statement, names it reads)
         for pattern in (os.path.join(SRC, "nplabel", "*.py"),
                         os.path.join(PERFBENCH, "*.py")):
@@ -140,7 +140,7 @@ class TestProgramReferences:
         unread = {
             node.name for in_src, node, _ in statements
             if in_src and isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
+            and not node.name.startswith("__")
             and not any(node.name in names for _, other, names in statements
                         if other is not node)
         }

@@ -47,7 +47,6 @@ _EXPORTS = {
     "label_spider": "labelers",
     "label_star_gon": "labelers",
     "shifted_path_labels": "labelers",
-    "CoprimeMatching": "numtheory",
     "bertrand_prime": "numtheory",
     "coprime_matching": "numtheory",
     "EXHAUSTED": "search",

@@ -13,13 +13,6 @@ from .families import generate, parse_family
 from .graph import verify
 from . import labelers
 from .numtheory import coprime_matching
-from .search import (
-    EXHAUSTED,
-    FOUND,
-    INCONCLUSIVE,
-    SearchConfig,
-    find_labeling,
-)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -84,8 +77,12 @@ def _cmd_verify(ns) -> int:
 
 
 def _cmd_search(ns) -> int:
+    # Imported here so that the commands that never search do not pay for it.
+    from .search import EXHAUSTED, FOUND, SearchConfig, find_labeling
+
     g = fileio.parse_edge_list(_read(ns.graph))
-    cfg = SearchConfig(node_budget=ns.budget, find_all=ns.all)
+    cfg = (SearchConfig(find_all=ns.all) if ns.budget is None
+           else SearchConfig(ns.budget, ns.all))
     outcome = find_labeling(g, cfg)
     found = [outcome.labeling] if outcome.status == FOUND else []
     if not all(verify(g, labels).ok for labels in (outcome.all_solutions if ns.all else found)):
@@ -108,9 +105,10 @@ def _cmd_search(ns) -> int:
 
 def _cmd_scan_trees(ns) -> int:
     # Imported here so that the other commands do not pay for the scan module.
+    from .search import SearchConfig
     from .treescan import scan_conjecture
 
-    cfg = SearchConfig(node_budget=ns.budget)
+    cfg = SearchConfig() if ns.budget is None else SearchConfig(ns.budget)
     report = scan_conjecture(ns.max_n, cfg)
     sys.stdout.write(report.table())
     if ns.fail_dir:
@@ -132,9 +130,8 @@ def _cmd_scan_trees(ns) -> int:
 
 
 def _cmd_match_coprime(ns) -> int:
-    m = coprime_matching(ns.n)
-    for x in range(1, ns.n + 1):
-        print("%d %d" % (x, m[x]))
+    for x, y in enumerate(coprime_matching(ns.n), start=1):
+        print("%d %d" % (x, y))
     return EXIT_OK
 
 
@@ -164,13 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exact backtracking search for a labeling")
     p.add_argument("--graph", required=True)
-    p.add_argument("--budget", type=int, default=SearchConfig().node_budget)
+    p.add_argument("--budget", type=int)
     p.add_argument("--all", action="store_true")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("scan-trees", help="conjecture scan over all small trees")
     p.add_argument("--max-n", dest="max_n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=SearchConfig().node_budget)
+    p.add_argument("--budget", type=int)
     p.add_argument("--fail-dir", dest="fail_dir")
     p.set_defaults(func=_cmd_scan_trees)
 

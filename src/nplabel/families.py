@@ -217,11 +217,6 @@ def _shape_bits(shape: Sequence[int]):
     return bits
 
 
-def full_binary_graph(shape: Sequence[int]) -> Graph:
-    """Full binary tree from level-order internal/leaf bits (1 = internal)."""
-    return _rooted_tree_from_pattern([2 if b else 0 for b in _shape_bits(shape)])
-
-
 def full_kary_graph(k: int, shape: Sequence[int]) -> Graph:
     """Full k-ary tree (every node has 0 or k children) from level-order bits."""
     if k < 2:
@@ -300,7 +295,7 @@ _FAMILIES = {
     "spider": ("*", spider_graph),
     "banana": ("ii", banana_graph),
     "firecracker": ("ii", firecracker_graph),
-    "fullbinary": ("b", full_binary_graph),
+    "fullbinary": ("b", lambda bits: full_kary_graph(2, bits)),
     "kary": ("ib", full_kary_graph),
     "cayley": ("ib", cayley_graph),
     "completebinary": ("i", complete_binary_graph),

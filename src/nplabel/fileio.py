@@ -13,16 +13,22 @@ from .errors import ParseError, UsageError
 from .graph import Graph, Labeling
 
 
+def _content_lines(text: str):
+    """(line number, stripped line) for each line that is neither blank nor
+    a ``#`` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format; raises ParseError with a line number.
 
     The edges stream into ``Graph``, whose own check finds a duplicate, so
     the parser holds no set of them."""
-    lines = enumerate(text.splitlines(), start=1)
-    for lineno, raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    lines = _content_lines(text)
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError("header must be 'n m'", lineno)
@@ -39,10 +45,7 @@ def parse_edge_list(text: str) -> Graph:
 
     def edges():
         nonlocal lineno
-        for lineno, raw in lines:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in lines:
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError("edge line must be 'u v'", lineno)
@@ -74,10 +77,7 @@ def write_edge_list(g: Graph) -> str:
 
 def parse_labels(text: str) -> List[int]:
     labels = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         try:
             labels.append(int(line))
         except ValueError:
@@ -88,7 +88,7 @@ def parse_labels(text: str) -> List[int]:
 
 
 def write_labels(labels: Labeling) -> str:
-    return "\n".join(str(x) for x in labels) + "\n"
+    return "%d\n" * len(labels) % tuple(labels)
 
 
 def to_dot(g: Graph) -> str:

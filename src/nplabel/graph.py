@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import deque
+from operator import ne
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import LabelingInvalid, UsageError
@@ -128,7 +129,7 @@ def check_bijection(g: Graph, labels: Labeling) -> None:
         raise UsageError(
             "labeling length %d does not match vertex count %d" % (len(labels), g.n)
         )
-    if sorted(labels) != list(range(1, g.n + 1)):
+    if any(map(ne, sorted(labels), range(1, g.n + 1))):
         raise LabelingInvalid("labels are not a bijection onto 1..%d" % g.n)
 
 

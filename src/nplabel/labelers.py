@@ -300,7 +300,7 @@ def label_firecracker(n: int, k: int) -> List[int]:
         labels[n + i] = lab  # v_1..v_{n-1} ascending
     matching = coprime_matching(n)
     for i in range(1, n + 1):
-        labels[2 * n + i - 1] = matching[lp[i - 1]]  # w_i
+        labels[2 * n + i - 1] = matching[lp[i - 1] - 1]  # w_i
     for vid in range(3 * n + 1, n * k + 1):
         labels[vid - 1] = vid  # extra star leaves, k > 3
     return labels

@@ -11,7 +11,7 @@ the even x take every odd y and no other odd x takes one.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 from .errors import UsageError
 
@@ -53,23 +53,6 @@ def bertrand_prime(n: int) -> int:
     return p
 
 
-class CoprimeMatching(NamedTuple):
-    """Bijection {1..n} -> {2n+1..3n} with gcd(x, map(x)) = 1.
-
-    ``m[x]`` and ``pairs[x-1]`` are the partner of x.  Indexing is by x, not
-    by field: the fields are read by name, which does not go through
-    ``__getitem__``.
-    """
-
-    n: int
-    pairs: Tuple[int, ...]
-
-    def __getitem__(self, x: int) -> int:
-        if not (1 <= x <= self.n):
-            raise UsageError("x=%d out of range 1..%d" % (x, self.n))
-        return self.pairs[x - 1]
-
-
 def _coprime_masks(n: int):
     """Bitmask adjacency: bit j of cop[x] is set iff gcd(x, 2n+1+j) = 1.
 
@@ -89,9 +72,10 @@ def _coprime_masks(n: int):
     return cop
 
 
-def coprime_matching(n: int) -> CoprimeMatching:
+def coprime_matching(n: int) -> Tuple[int, ...]:
     """Lexicographically smallest perfect coprime matching between
-    X = {1..n} and Y = {2n+1..3n}.
+    X = {1..n} and Y = {2n+1..3n}, as the tuple of partners: entry x - 1
+    is the partner of x.
 
     Phase 1 builds some perfect matching by augmenting-path search (x
     ascending, smallest y preferred).  Phase 2 walks x = 1..n and locks in
@@ -190,4 +174,4 @@ def coprime_matching(n: int) -> CoprimeMatching:
             match_of_y[jc] = x
         free_mask = 0
         unlocked &= ~(1 << (match_of_x[x] - lo))
-    return CoprimeMatching(n, tuple(match_of_x[1:]))
+    return tuple(match_of_x[1:])

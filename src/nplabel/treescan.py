@@ -20,16 +20,12 @@ from .search import EXHAUSTED, FOUND, SearchConfig, SearchOutcome, find_labeling
 MAX_ENUM_N = 18
 
 
-def _require_tree(t: Graph, caller: str) -> None:
-    """``_canonical_rooting``'s leaf stripping never ends on a cycle."""
-    if not is_tree(t):
-        raise UsageError("%s requires a tree" % caller)
-
-
 def ahu_canonical(t: Graph) -> str:
     """Canonical string of a free tree: AHU encoding rooted at the center
     (for bicentral trees, the center whose string is least)."""
-    _require_tree(t, "ahu_canonical")
+    if not is_tree(t):
+        # _canonical_rooting's leaf stripping never ends on a cycle
+        raise UsageError("ahu_canonical requires a tree")
     return _canonical_rooting(t.adj)
 
 

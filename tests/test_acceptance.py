@@ -19,7 +19,7 @@ from nplabel.families import (
     complete_binary_graph,
     cycle_graph,
     firecracker_graph,
-    full_binary_graph,
+    full_kary_graph,
     gear_graph,
     mobius_graph,
     random_tree,
@@ -75,7 +75,7 @@ def all_full_binary_shapes(max_nodes):
     for total in range(1, max_nodes + 1, 2):
         for bits in product((0, 1), repeat=total):
             try:
-                shapes.append(full_binary_graph(list(bits)))
+                shapes.append(full_kary_graph(2, list(bits)))
             except InvalidSpec:
                 continue
     return shapes
@@ -224,8 +224,8 @@ def test_criterion_6_transformation_lemmas():
 def test_criterion_7_number_theory():
     for n in range(1, 2001):
         m = coprime_matching(n)
-        assert sorted(m.pairs) == list(range(2 * n + 1, 3 * n + 1)), n
-        assert all(math.gcd(x, m[x]) == 1 for x in range(1, n + 1)), n
+        assert sorted(m) == list(range(2 * n + 1, 3 * n + 1)), n
+        assert all(math.gcd(x, y) == 1 for x, y in enumerate(m, 1)), n
     import numpy as np
 
     limit = 2 * 10**6

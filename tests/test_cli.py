@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import nplabel
-from nplabel import cli, labelers
+from nplabel import cli, labelers, search
 from nplabel.cli import (
     EXIT_ERROR,
     EXIT_EXHAUSTED,
@@ -260,7 +260,7 @@ class TestSearch:
         g = tmp_path / "c5.el"
         g.write_text(write_edge_list(cycle_graph(5)))
         bad = (1, 2, 3, 5, 4)
-        monkeypatch.setattr(cli, "find_labeling", lambda graph, cfg: SearchOutcome(
+        monkeypatch.setattr(search, "find_labeling", lambda graph, cfg: SearchOutcome(
             FOUND, bad, 5, (bad,) if cfg.find_all else None))
         code, out, err = run(capsys, "search", "--graph", str(g), *flags)
         assert (code, out) == (EXIT_ERROR, "")

@@ -15,7 +15,6 @@ from nplabel.families import (
     complete_binary_graph,
     cycle_graph,
     firecracker_graph,
-    full_binary_graph,
     full_kary_graph,
     gear_graph,
     generate,
@@ -164,7 +163,7 @@ class TestStructure:
             assert g.adj == complete_binary_reference(n).adj
 
     def test_full_binary_shape(self):
-        g = full_binary_graph([1, 1, 0, 0, 0])
+        g = full_kary_graph(2, [1, 1, 0, 0, 0])
         assert g.n == 5
         assert g.adj[1] == (2, 3)
         assert g.adj[2] == (1, 4, 5)
@@ -177,9 +176,9 @@ class TestStructure:
 
     def test_bad_shape_rejected(self):
         with pytest.raises(InvalidSpec):
-            full_binary_graph([1, 0])  # 3 nodes needed, 2 declared
+            full_kary_graph(2, [1, 0])  # 3 nodes needed, 2 declared
         with pytest.raises(InvalidSpec):
-            full_binary_graph([0, 1, 0])  # node 2 unreachable
+            full_kary_graph(2, [0, 1, 0])  # node 2 unreachable
 
 
 class TestGuards:
@@ -247,7 +246,7 @@ KIND_CASES = {
     "banana": ("banana:3,6", (3, 6), lambda: banana_graph(3, 6)),
     "firecracker": ("firecracker:6,3", (6, 3), lambda: firecracker_graph(6, 3)),
     "fullbinary": ("fullbinary:1100100", ((1, 1, 0, 0, 1, 0, 0),),
-                   lambda: full_binary_graph([1, 1, 0, 0, 1, 0, 0])),
+                   lambda: full_kary_graph(2, [1, 1, 0, 0, 1, 0, 0])),
     "kary": ("kary:3,1000", (3, (1, 0, 0, 0)), lambda: full_kary_graph(3, [1, 0, 0, 0])),
     "cayley": ("cayley:4,11000000", (4, (1, 1, 0, 0, 0, 0, 0, 0)),
                lambda: cayley_graph(4, [1, 1, 0, 0, 0, 0, 0, 0])),
@@ -394,8 +393,8 @@ class TestDigest:
 # input checks that no other test reaches: (function, arguments, error, message)
 INPUT_CHECKS = [
     (star_gon_graph, (2, 3), InvalidSpec, "star-gon requires k >= 3, got k=2"),
-    (full_binary_graph, ((),), InvalidSpec, "shape must be a nonempty 0/1 sequence"),
-    (full_binary_graph, ((1, 2, 0),), InvalidSpec, "shape must be a nonempty 0/1 sequence"),
+    (full_kary_graph, (2, ()), InvalidSpec, "shape must be a nonempty 0/1 sequence"),
+    (full_kary_graph, (2, (1, 2, 0)), InvalidSpec, "shape must be a nonempty 0/1 sequence"),
     (cayley_graph, (2, (1, 0, 0)), InvalidSpec, "Cayley tree requires k >= 3, got k=2"),
 ]
 

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,8 @@ from nplabel.fileio import (
     write_labels,
 )
 from nplabel.families import gear_graph, parse_family, generate
-from nplabel.graph import Graph
+from nplabel.graph import Graph, verify
+from nplabel.labelers import label_gear
 
 
 class TestParseEdgeList:
@@ -74,6 +76,22 @@ class TestLabels:
     def test_parse_empty(self):
         with pytest.raises(ParseError):
             parse_labels("# nothing\n")
+
+
+def test_label_write_and_check_peaks():
+    # 40,001 labels: writing them takes one format operation and checking
+    # the bijection builds no second list of n ints, so each peaks under 1 MB
+    g = gear_graph(20000)
+    labels = label_gear(20000)
+    peaks = []
+    for step in (lambda: write_labels(labels), lambda: verify(g, labels).ok):
+        tracemalloc.start()
+        try:
+            assert step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 1 << 20, peaks
 
 
 class TestRoundTrips:

@@ -18,7 +18,7 @@ from nplabel.families import (
     caterpillar_graph,
     complete_binary_graph,
     firecracker_graph,
-    full_binary_graph,
+    full_kary_graph,
     gear_graph,
     mobius_graph,
     path_graph,
@@ -497,7 +497,7 @@ class TestLabelFullBinary:
         assert label_full_binary(g) == list(range(1, 8))
 
     def test_full_five_node_identity(self):
-        g = full_binary_graph([1, 1, 0, 0, 0])
+        g = full_kary_graph(2, [1, 1, 0, 0, 0])
         assert label_full_binary(g) == [1, 2, 3, 4, 5]
 
     def test_single_child_delegates(self):

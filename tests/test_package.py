@@ -20,7 +20,6 @@ from nplabel import search, treescan  # submodules, not names in __all__
 from nplabel.errors import UsageError
 from nplabel.families import FamilySpec
 from nplabel.graph import VerificationReport, Violation
-from nplabel.numtheory import CoprimeMatching
 from nplabel.search import SearchConfig, SearchOutcome
 from nplabel.treescan import ConjectureReport, SizeResult, scan_conjecture
 
@@ -40,7 +39,7 @@ EXPORTS = {
                  "label_caterpillar", "label_firecracker", "label_full_binary",
                  "label_gear", "label_mobius", "label_path", "label_snake",
                  "label_spider", "label_star_gon", "shifted_path_labels"),
-    "numtheory": ("CoprimeMatching", "bertrand_prime", "coprime_matching"),
+    "numtheory": ("bertrand_prime", "coprime_matching"),
     "search": ("EXHAUSTED", "FOUND", "INCONCLUSIVE", "SearchConfig", "SearchOutcome",
                "brute_force_oracle", "find_labeling", "kernel_name"),
     "treescan": ("ConjectureReport", "ahu_canonical", "enumerate_free_trees",
@@ -72,6 +71,7 @@ class TestImportFootprint:
         loaded = loaded_by("import nplabel.cli")
         assert "nplabel.labelers" in loaded
         assert "nplabel.treescan" not in loaded
+        assert "nplabel.search" not in loaded
         assert not loaded & {"dataclasses", "inspect"}
 
     def test_package_loads_no_submodule(self):
@@ -82,7 +82,7 @@ class TestImportFootprint:
 
 class TestExports:
     def test_names_pinned(self):
-        assert len(nplabel.__all__) == 51
+        assert len(nplabel.__all__) == 50
         assert nplabel.__all__ == sorted(n for names in EXPORTS.values() for n in names)
 
     @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items()
@@ -151,7 +151,6 @@ RECORDS = [
     (Violation(2, (4, 6), 2), "vertex"),
     (VerificationReport(True, (), 3), "ok"),
     (FamilySpec("gear", (7,)), "args"),
-    (CoprimeMatching(2, (6, 5)), "pairs"),
     (SearchConfig(), "node_budget"),
     (SearchOutcome("found", (1, 2), 2), "status"),
     (SizeResult(1, 1, 1, (), (), 0.0), "nodes"),

@@ -54,6 +54,7 @@ _EXPORTS = {
     "INCONCLUSIVE": "search",
     "SearchConfig": "search",
     "SearchOutcome": "search",
+    "all_labelings": "search",
     "brute_force_oracle": "search",
     "find_labeling": "search",
     "kernel_name": "search",

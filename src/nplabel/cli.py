@@ -21,10 +21,10 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _read(path: str) -> str:
-    """The text of an input file; bytes that are not UTF-8 are a ParseError
-    naming the file."""
+    """The text of an input file, less a leading UTF-8 byte-order mark;
+    bytes that are not UTF-8 are a ParseError naming the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError("%s is not UTF-8 text: %s" % (path, exc))
 
@@ -78,12 +78,11 @@ def _cmd_verify(ns) -> int:
 
 def _cmd_search(ns) -> int:
     # Imported here so that the commands that never search do not pay for it.
-    from .search import EXHAUSTED, FOUND, SearchConfig, find_labeling
+    from .search import EXHAUSTED, FOUND, SearchConfig, all_labelings, find_labeling
 
     g = fileio.parse_edge_list(_read(ns.graph))
-    cfg = (SearchConfig(find_all=ns.all) if ns.budget is None
-           else SearchConfig(ns.budget, ns.all))
-    outcome = find_labeling(g, cfg)
+    cfg = SearchConfig() if ns.budget is None else SearchConfig(ns.budget)
+    outcome = (all_labelings if ns.all else find_labeling)(g, cfg)
     found = [outcome.labeling] if outcome.status == FOUND else []
     if not all(verify(g, labels).ok for labels in (outcome.all_solutions if ns.all else found)):
         print("UNVERIFIED: search labeling failed verification", file=sys.stderr)

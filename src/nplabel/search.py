@@ -1,8 +1,10 @@
 """Exact search for neighborhood-prime labelings plus a brute-force oracle.
 
-To find one labeling, ``find_labeling`` runs a seeded min-conflicts local
-search, then a pure-Python depth-first kernel that prunes a branch once a
-vertex of degree >= 2 has its whole neighborhood labeled with gcd >= 2.
+``find_labeling`` finds one labeling: a seeded min-conflicts local search,
+then a pure-Python depth-first kernel that prunes a branch once a vertex of
+degree >= 2 has its whole neighborhood labeled with gcd >= 2.
+``all_labelings`` lists every labeling with that kernel alone.  Both stop
+within a node budget, a positive int.
 """
 
 from __future__ import annotations
@@ -27,20 +29,16 @@ def kernel_name() -> str:
     return "pure-python"
 
 
-class SearchConfig(NamedTuple("_SearchConfig", [("node_budget", Optional[int]),
-                                                ("find_all", bool)])):
-    """Settings of one search, checked whenever one is built, by
-    ``_make`` and ``_replace`` too."""
+class SearchConfig(NamedTuple("_SearchConfig", [("node_budget", int)])):
+    """Settings of one search, checked whenever one is built, by ``_make``
+    and ``_replace`` too."""
 
     __slots__ = ()
 
-    def __new__(cls, node_budget: Optional[int] = DEFAULT_BUDGET,
-                find_all: bool = False):
-        if node_budget is not None and node_budget < 1:
-            raise UsageError("node_budget must be >= 1 when present")
-        if not isinstance(find_all, bool):
-            raise UsageError("find_all must be a bool, got %r" % (find_all,))
-        return super().__new__(cls, node_budget, find_all)
+    def __new__(cls, node_budget: int = DEFAULT_BUDGET):
+        if type(node_budget) is not int or node_budget < 1:  # bool is not int
+            raise UsageError("node_budget must be an int >= 1, got %r" % (node_budget,))
+        return super().__new__(cls, node_budget)
 
     @classmethod
     def _make(cls, iterable):
@@ -56,26 +54,30 @@ class SearchOutcome(NamedTuple):
 
 
 def find_labeling(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
-    """Exact search; sound and complete within the node budget.
+    """One labeling; sound and complete within the node budget.
 
-    Vertices are assigned by degree descending, ties by vertex id, and
-    labels tried in ascending order.  One node is counted per unused
-    label tried; a search stops as Inconclusive on the first node past its
-    budget (None means unlimited).  A branch is pruned as soon as some
-    vertex of degree >= 2 has its whole neighborhood labeled with gcd >= 2.
-    With ``find_all`` one depth-first search returns every solution; a
-    budget hit yields Inconclusive with the partial list.  To find one
-    labeling, ``_local_search`` first takes up to 1/64 of the budget (of
-    ``DEFAULT_BUDGET`` when unlimited) in steps, reported apart from the
-    nodes; the depth-first search gets the rest, so Exhausted refutes."""
-    budget = cfg.node_budget
-    if cfg.find_all:
-        return _backtrack(g, _vertex_order(g), budget, True)
-    labeling, steps = _local_search(g, (budget or DEFAULT_BUDGET) // 64)
+    ``_local_search`` first takes up to 1/64 of the budget in steps,
+    reported apart from the nodes.  If it finds no labeling, the
+    depth-first kernel gets the rest of the budget: vertices assigned by
+    degree descending, ties by vertex id, labels tried in ascending order,
+    one node counted per unused label tried.  A branch is pruned as soon
+    as some vertex of degree >= 2 has its whole neighborhood labeled with
+    gcd >= 2, so Exhausted refutes; the first node past the budget stops
+    the search as Inconclusive."""
+    labeling, steps = _local_search(g, cfg.node_budget // 64)
     if labeling is not None:
         return SearchOutcome(FOUND, labeling, 0, steps=steps)
-    rest = None if budget is None else budget - steps
+    rest = cfg.node_budget - steps
     return _backtrack(g, _vertex_order(g), rest, False)._replace(steps=steps)
+
+
+def all_labelings(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
+    """Every labeling, in ``all_solutions``, from one run of the
+    depth-first kernel that ``find_labeling`` ends with (no local search,
+    so 0 steps).  Found if there is one, Exhausted if there is none; the
+    first node past the budget stops it as Inconclusive with the partial
+    list."""
+    return _backtrack(g, _vertex_order(g), cfg.node_budget, True)
 
 
 def _local_search(g: Graph, max_steps: int) -> Tuple[Optional[Tuple[int, ...]], int]:
@@ -127,7 +129,7 @@ def _vertex_order(g: Graph) -> List[int]:
     return sorted(range(1, g.n + 1), key=lambda v: -len(adj[v]))
 
 
-def _backtrack(g: Graph, order: List[int], budget: Optional[int],
+def _backtrack(g: Graph, order: List[int], budget: int,
                find_all: bool) -> SearchOutcome:
     """The depth-first kernel: vertices assigned in ``order``, labels tried
     in ascending order, stopping on the first node past ``budget``."""
@@ -157,7 +159,7 @@ def _backtrack(g: Graph, order: List[int], budget: Optional[int],
                 lab += 1
             if lab <= n:
                 nodes += 1
-                if budget is not None and nodes > budget:
+                if nodes > budget:
                     status = INCONCLUSIVE
                     break
                 v = order[d]

@@ -200,6 +200,19 @@ class TestVerify:
         assert err.startswith("error: %s is not UTF-8 text" % files[bad])
         assert err.count("\n") == 1
 
+    def test_byte_order_mark_skipped(self, capsys, tmp_path):
+        # Windows editors, and PowerShell 5's Out-File -Encoding utf8, start a
+        # UTF-8 file with a byte-order mark; verify and search read past it
+        g, lab, plain = tmp_path / "p3.el", tmp_path / "p3.lab", tmp_path / "plain.el"
+        plain.write_text("3 2\n1 2\n2 3\n")
+        g.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        lab.write_bytes(b"\xef\xbb\xbf2\n1\n3\n")
+        assert run(capsys, "verify", "--graph", str(g), "--labels", str(lab)) == (
+            EXIT_OK, "OK checked=1\n", "")
+        found = run(capsys, "search", "--graph", str(g))
+        assert found[0] == EXIT_OK
+        assert found == run(capsys, "search", "--graph", str(plain))
+
 
 class TestSearch:
     def test_not_utf8(self, capsys, tmp_path):
@@ -260,8 +273,9 @@ class TestSearch:
         g = tmp_path / "c5.el"
         g.write_text(write_edge_list(cycle_graph(5)))
         bad = (1, 2, 3, 5, 4)
-        monkeypatch.setattr(search, "find_labeling", lambda graph, cfg: SearchOutcome(
-            FOUND, bad, 5, (bad,) if cfg.find_all else None))
+        entry = "all_labelings" if flags else "find_labeling"
+        monkeypatch.setattr(search, entry, lambda graph, cfg: SearchOutcome(
+            FOUND, bad, 5, (bad,) if flags else None))
         code, out, err = run(capsys, "search", "--graph", str(g), *flags)
         assert (code, out) == (EXIT_ERROR, "")
         assert err.startswith("UNVERIFIED")
@@ -350,6 +364,17 @@ class TestUsageErrors:
         code, _, err = run(capsys, "scan-trees", "--max-n", "5", "--jobs", "2")
         assert code == EXIT_ERROR
         assert "--jobs" in err
+
+    @pytest.mark.parametrize("argv", [("search", "--budget", "0"),
+                                      ("scan-trees", "--max-n", "4", "--budget", "-1")],
+                             ids=["search", "scan-trees"])
+    def test_budget_below_1(self, capsys, tmp_path, argv):
+        g = tmp_path / "c5.el"
+        g.write_text(write_edge_list(cycle_graph(5)))
+        graph = ("--graph", str(g)) if argv[0] == "search" else ()
+        code, out, err = run(capsys, *argv, *graph)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: node_budget must be an int >= 1, got %s\n" % argv[-1]
 
     def test_help_exits_0(self, capsys):
         code, out, _ = run(capsys, "--help")

@@ -10,6 +10,7 @@ import glob
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -41,7 +42,7 @@ EXPORTS = {
                  "label_spider", "label_star_gon", "shifted_path_labels"),
     "numtheory": ("bertrand_prime", "coprime_matching"),
     "search": ("EXHAUSTED", "FOUND", "INCONCLUSIVE", "SearchConfig", "SearchOutcome",
-               "brute_force_oracle", "find_labeling", "kernel_name"),
+               "all_labelings", "brute_force_oracle", "find_labeling", "kernel_name"),
     "treescan": ("ConjectureReport", "ahu_canonical", "enumerate_free_trees",
                  "enumerate_free_trees_by_extension", "scan_conjecture"),
 }
@@ -82,7 +83,7 @@ class TestImportFootprint:
 
 class TestExports:
     def test_names_pinned(self):
-        assert len(nplabel.__all__) == 50
+        assert len(nplabel.__all__) == 51
         assert nplabel.__all__ == sorted(n for names in EXPORTS.values() for n in names)
 
     @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items()
@@ -170,29 +171,25 @@ class TestRecords:
         assert getattr(record, field) == before
 
     def test_search_config_checks(self):
-        with pytest.raises(UsageError, match="node_budget must be >= 1 when present"):
-            SearchConfig(node_budget=0)
-        with pytest.raises(UsageError, match="node_budget"):
-            SearchConfig()._replace(node_budget=0)
-        assert SearchConfig(None) == (None, False)
-        assert SearchConfig(5)._replace(find_all=True) == SearchConfig(5, True)
-        assert SearchConfig._fields == ("node_budget", "find_all")
+        assert SearchConfig(5) == (5,)
+        assert SearchConfig()._replace(node_budget=7) == SearchConfig(7)
+        assert SearchConfig._fields == ("node_budget",)
+        with pytest.raises(TypeError):
+            SearchConfig(5, True)  # a stale find_all argument
 
-    @pytest.mark.parametrize("find_all", ["natural", 1, None])
-    def test_search_config_find_all_is_a_bool(self, find_all):
-        # a stale positional call such as SearchConfig(5, "natural") must not
-        # turn on find_all
-        with pytest.raises(UsageError, match="find_all must be a bool"):
-            SearchConfig(5, find_all)
-        with pytest.raises(UsageError, match="find_all must be a bool"):
-            SearchConfig()._replace(find_all=find_all)
+    @pytest.mark.parametrize("budget", [None, 0, -1, 2.5, True, "5"])
+    def test_search_config_budget_is_a_positive_int(self, budget):
+        message = re.escape("node_budget must be an int >= 1, got %r" % (budget,))
+        with pytest.raises(UsageError, match=message):
+            SearchConfig(budget)
+        with pytest.raises(UsageError, match=message):
+            SearchConfig()._replace(node_budget=budget)
 
     def test_family_spec_repr(self):
         assert repr(FamilySpec("gear", (7,))) == "FamilySpec(kind='gear', args=(7,))"
 
     def test_search_config_repr(self):
-        assert repr(SearchConfig()) == (
-            "SearchConfig(node_budget=10000000, find_all=False)")
+        assert repr(SearchConfig()) == "SearchConfig(node_budget=10000000)"
 
     def test_defaults(self):
         assert SearchOutcome("exhausted", None, 5).all_solutions is None

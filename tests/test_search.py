@@ -13,6 +13,7 @@ from nplabel.search import (
     INCONCLUSIVE,
     SearchConfig,
     SearchOutcome,
+    all_labelings,
     brute_force_oracle,
     find_labeling,
     kernel_name,
@@ -93,23 +94,20 @@ class TestFindLabeling:
         # local search no steps
         assert (out.nodes_explored, out.steps) == (6, 0)
 
-    def test_unlimited_budget(self):
-        out = find_labeling(cycle_graph(6), SearchConfig(node_budget=None))
-        assert out.status == EXHAUSTED
-
     def test_find_all_matches_oracle(self):
         graphs = [path_graph(4), cycle_graph(5), star(4)] + random_connected()
         for g in graphs:
             oracle = brute_force_oracle(g, find_all=True)
             # the search's degree order, then the kernel in the identity order
-            for ours in (find_labeling(g, SearchConfig(find_all=True)),
-                         search._backtrack(g, list(range(1, g.n + 1)), None, True)):
+            for ours in (all_labelings(g),
+                         search._backtrack(g, list(range(1, g.n + 1)), DEFAULT_BUDGET,
+                                           True)):
                 assert ours.status == oracle.status
                 assert sorted(ours.all_solutions) == sorted(oracle.all_solutions)
 
     def test_partial_enumeration_under_budget(self):
         g = random_tree(8, 1)
-        out = find_labeling(g, SearchConfig(node_budget=1000, find_all=True))
+        out = all_labelings(g, SearchConfig(node_budget=1000))
         assert out.status == INCONCLUSIVE
         assert out.nodes_explored == 1001
         assert len(out.all_solutions) == 365
@@ -118,7 +116,7 @@ class TestFindLabeling:
             assert verify(g, sol).ok
 
     def test_solutions_verified(self):
-        out = find_labeling(path_graph(5), SearchConfig(find_all=True))
+        out = all_labelings(path_graph(5))
         for sol in out.all_solutions:
             assert verify(path_graph(5), sol).ok
 
@@ -136,16 +134,16 @@ class TestLocalSearchFirst:
         monkeypatch.setattr(search, "_backtrack", inconclusive)
         return calls
 
-    @pytest.mark.parametrize("budget", [320_000, 1000, 63, None])
+    @pytest.mark.parametrize("budget", [320_000, 1000, 63, DEFAULT_BUDGET])
     def test_steps_share_the_budget(self, calls, budget):
         # C6 has no labeling, so the local search spends its whole share,
-        # 1/64 of the budget (of DEFAULT_BUDGET when unlimited), and one
-        # depth-first search in degree order gets the rest
+        # 1/64 of the budget, and one depth-first search in degree order
+        # gets the rest
         g = cycle_graph(6)
         out = find_labeling(g, SearchConfig(node_budget=budget))
-        share = (budget or DEFAULT_BUDGET) // 64
+        share = budget // 64
         assert out == (INCONCLUSIVE, None, 1, None, share)
-        assert calls == [(list(range(1, 7)), None if budget is None else budget - share)]
+        assert calls == [(list(range(1, 7)), budget - share)]
 
     def test_found_skips_the_kernel(self, calls):
         g = random_tree(30, 4)
@@ -170,7 +168,7 @@ class TestLocalSearchFirst:
 
 
 class TestKernelGolden:
-    # find_all status, nodes explored and solution count, pinned so that a
+    # all_labelings status, nodes explored and solution count, pinned so that a
     # change to the search order or pruning shows up
     GRAPHS = [
         cycle_graph(5),
@@ -186,8 +184,7 @@ class TestKernelGolden:
         return out.status, out.nodes_explored, len(out.all_solutions)
 
     def test_golden_counts(self):
-        got = [self.counts(find_labeling(g, SearchConfig(find_all=True)))
-               for g in self.GRAPHS]
+        got = [self.counts(all_labelings(g)) for g in self.GRAPHS]
         assert got == [
             (FOUND, 277, 60),
             (EXHAUSTED, 916, 0),
@@ -199,7 +196,8 @@ class TestKernelGolden:
 
     def test_golden_counts_natural_order(self):
         # the kernel alone, in the identity vertex order
-        got = [self.counts(search._backtrack(g, list(range(1, g.n + 1)), None, True))
+        got = [self.counts(search._backtrack(g, list(range(1, g.n + 1)), DEFAULT_BUDGET,
+                                             True))
                for g in self.GRAPHS]
         assert got == [
             (FOUND, 277, 60),

@@ -256,12 +256,6 @@ class TestScanConjecture:
             with pytest.raises(UsageError):
                 scan_conjecture(6, jobs=jobs)
 
-    def test_find_all_refused(self):
-        # one labeling per tree is the scan's evidence; enumerating all of
-        # them multiplies its search nodes by orders of magnitude
-        with pytest.raises(UsageError, match="find_all"):
-            scan_conjecture(6, SearchConfig(find_all=True))
-
     def test_trees_stream_one_at_a_time(self, monkeypatch):
         # a tree's labeling is verified before the next tree is generated,
         # so the scan holds one pending tree, never a list of a size's trees

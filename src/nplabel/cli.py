@@ -4,6 +4,7 @@ searcher and conjecture scanner together."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -192,6 +193,11 @@ def main(argv=None) -> int:
     except NPLabelError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
+    except BrokenPipeError:
+        # the reader left early (``| head -1``): the output is incomplete,
+        # and pointing stdout at devnull keeps the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
@@ -200,6 +206,3 @@ def main(argv=None) -> int:
         print("error: size too large to hold (%s)" % type(exc).__name__, file=sys.stderr)
         return EXIT_ERROR
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -7,7 +7,7 @@ bijection onto {1..n}.
 
 from __future__ import annotations
 
-import math
+from math import gcd
 from bisect import bisect_left, insort
 from collections import deque
 from operator import ne
@@ -137,19 +137,26 @@ def verify(g: Graph, labels: Labeling) -> VerificationReport:
     """Audit the neighborhood-gcd condition at every vertex of degree >= 2.
 
     Reports all violations, not just the first.  Degree-0 and degree-1
-    vertices are never checked.
+    vertices are never checked.  The gcd of N(v) divides the gcd of any two
+    labels in it, so a coprime pair settles v: each vertex costs one gcd of
+    its first two neighbours' labels, and only when they share a factor is
+    the whole neighborhood read, O(deg v).
     """
     check_bijection(g, labels)
-    label = (0, *labels).__getitem__
+    label = (0, *labels)
     violations = []
     checked = 0
     for v, nbrs in enumerate(g.adj):
         if len(nbrs) < 2:
             continue
         checked += 1
-        d = math.gcd(*map(label, nbrs))
+        if gcd(label[nbrs[0]], label[nbrs[1]]) == 1:
+            continue
+        hood = [label[u] for u in nbrs]
+        d = gcd(*hood)
         if d != 1:
-            violations.append(Violation(v, tuple(sorted(map(label, nbrs))), d))
+            hood.sort()
+            violations.append(Violation(v, tuple(hood), d))
     return VerificationReport(
         ok=not violations, violations=tuple(violations), checked_count=checked
     )

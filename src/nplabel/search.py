@@ -90,13 +90,14 @@ def _local_search(g: Graph, max_steps: int) -> Tuple[Optional[Tuple[int, ...]], 
     if the violated count among the neighbors of x and y does not rise, or
     else one time in 10."""
     n, adj = g.n, g.adj
-    hood = [a if len(a) > 1 else () for a in adj]  # gcd() of () is 0: never violated
+    hood = [a if len(a) > 1 else () for a in adj]  # () is never violated
     rng = random.Random(repr(g.edges))
     pick = rng.random
     label = [0] + rng.sample(range(1, n + 1), n)
 
-    def violating(vertices):
-        return [v for v in vertices if gcd(*[label[u] for u in hood[v]]) > 1]
+    def violating(vertices):  # a coprime first pair settles v, as in verify
+        return [v for v in vertices if (a := hood[v])
+                and gcd(label[a[0]], label[a[1]]) > 1 and gcd(*[label[u] for u in a]) > 1]
 
     violated = violating(range(1, n + 1))
     where = {v: i for i, v in enumerate(violated)}  # index in violated

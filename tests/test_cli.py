@@ -32,6 +32,12 @@ print(tracemalloc.get_traced_memory()[1])
 sys.exit(code)
 """
 
+# run the CLI on argv[1:] and exit with its code
+RUN_MAIN = """import sys
+from nplabel.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
 # the irreducible core ((((()))((())))(((())))(((())))(((())))) on 20
 # vertices, numbered in preorder from its center
 HARD_CORE = Graph(20, [(1, 2), (1, 9), (1, 13), (1, 17), (2, 3), (2, 6), (3, 4),
@@ -441,3 +447,29 @@ class TestSizeTooLarge:
         assert done.returncode == EXIT_ERROR
         assert done.stderr == "error: size too large to hold (%s)\n" % kind
         assert int(done.stdout) < 1 << 20
+
+
+class TestProcess:
+    def test_reader_leaving_early_is_quiet(self):
+        # ``label --family gear:20000 | head -1``: the labels fill the pipe
+        # many times over, so writing fails once the reader has left
+        with subprocess.Popen(
+                [sys.executable, "-c", RUN_MAIN, "label", "--family", "gear:20000"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=SRC)) as proc:
+            try:
+                first = proc.stdout.readline()
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()
+        assert first == b"1\n"
+        assert (proc.returncode, err) == (EXIT_ERROR, b"")
+
+    def test_python_m_nplabel(self, capsys):
+        done = subprocess.run([sys.executable, "-m", "nplabel", "label", "--family", "path:5"],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        assert done.returncode == EXIT_OK
+        assert done.stdout.endswith("VERIFIED\n")
+        assert (done.stdout, done.stderr) == run(capsys, "label", "--family", "path:5")[1:]

@@ -12,8 +12,8 @@ from hypothesis import given, strategies as st
 
 from contraction import contract_reference
 from nplabel.errors import LabelingInvalid, UsageError
-from nplabel.families import (gear_graph, snake_graph, snake_vertex_count,
-                               star_gon_graph)
+from nplabel.families import (gear_graph, generate, parse_family, snake_graph,
+                               snake_vertex_count, star_gon_graph)
 from nplabel.graph import (
     Graph,
     check_vertex,
@@ -25,6 +25,7 @@ from nplabel.graph import (
     verify,
     with_pendant,
 )
+from nplabel.labelers import label_family
 
 
 # the first faulty edge is reported, and a self-loop outranks a range error
@@ -74,6 +75,64 @@ def hub_graphs():
         yield "gear:%d" % k, g.n, list(g.edges), 1
     for n in range(2, 31):
         yield "K%d" % n, n, list(combinations(range(1, n + 1), 2)), n
+
+
+def gcd_reference(g, labels):
+    """What verify reports, from first principles: the gcd of every whole
+    neighborhood, by reduce, at each vertex of degree >= 2."""
+    if len(labels) != g.n:
+        raise UsageError("labeling length %d does not match vertex count %d"
+                         % (len(labels), g.n))
+    if sorted(labels) != list(range(1, g.n + 1)):
+        raise LabelingInvalid("labels are not a bijection onto 1..%d" % g.n)
+    violations, checked = [], 0
+    for v in range(1, g.n + 1):
+        if len(g.adj[v]) < 2:
+            continue
+        checked += 1
+        vals = sorted(labels[u - 1] for u in g.adj[v])
+        d = reduce(math.gcd, vals)
+        if d != 1:
+            violations.append(Violation(v, tuple(vals), d))
+    return VerificationReport(not violations, tuple(violations), checked)
+
+
+def full_tree_codes(k):
+    """Preorder codes of full k-ary trees: a leaf is 0, an inner node is 1
+    followed by its k subtrees."""
+    return st.recursive(st.just("0"), lambda sub: st.lists(
+        sub, min_size=k, max_size=k).map(lambda t: "1" + "".join(t)), max_leaves=12)
+
+
+def _joined(ints):
+    """Spec parameter text from a strategy of int sequences."""
+    return ints.map(lambda t: ",".join(map(str, t)))
+
+
+def _ints(*ranges):
+    return _joined(st.tuples(*(st.integers(lo, hi) for lo, hi in ranges)))
+
+
+# each kind with a closed-form labeler, and parameters of its small members
+SMALL_PARAMS = {
+    "path": _ints((1, 15)),
+    "gear": _ints((3, 15)),
+    "mobius": _ints((3, 15)),
+    "book5": _ints((1, 15)),
+    "completebinary": _ints((1, 15)),
+    "snake": _ints((3, 5), (2, 6)),
+    "stargon": _ints((3, 5), (3, 6)),
+    "book": _ints((3, 5), (1, 6)),
+    "banana": _ints((3, 8), (4, 6)),
+    "firecracker": _ints((1, 8), (3, 6)),
+    "caterpillar": _joined(st.lists(st.integers(0, 3), min_size=1, max_size=5)),
+    "spider": _joined(st.lists(st.integers(1, 3), min_size=3, max_size=5)),
+    "fullbinary": full_tree_codes(2),
+    "kary": st.integers(2, 3).flatmap(
+        lambda k: full_tree_codes(k).map(lambda c: "%d,%s" % (k, c))),
+    "cayley": st.lists(full_tree_codes(2), min_size=3, max_size=3).map(
+        lambda t: "3,1" + "".join(t)),
+}
 
 
 def P(n):
@@ -343,24 +402,38 @@ class TestVerify:
             Violation(7, (3, 6), 3),
         )
 
-    def test_matches_reference(self):
-        def reference(g, labels):
-            if len(labels) != g.n:
-                raise UsageError("labeling length %d does not match vertex count %d"
-                                 % (len(labels), g.n))
-            if sorted(labels) != list(range(1, g.n + 1)):
-                raise LabelingInvalid("labels are not a bijection onto 1..%d" % g.n)
-            violations, checked = [], 0
-            for v in range(1, g.n + 1):
-                if len(g.adj[v]) < 2:
-                    continue
-                checked += 1
-                vals = sorted(labels[u - 1] for u in g.adj[v])
-                d = reduce(math.gcd, vals)
-                if d != 1:
-                    violations.append(Violation(v, tuple(vals), d))
-            return VerificationReport(not violations, tuple(violations), checked)
+    def test_first_pair_sharing_a_factor_is_cleared_later(self):
+        # the center's first two neighbour labels, 2 and 4, share 2; the
+        # third, 3, clears it
+        g = Graph(4, [(1, 2), (1, 3), (1, 4)])
+        assert verify(g, [1, 2, 4, 3]) == VerificationReport(True, (), 1)
 
+    def test_whole_neighbourhood_sharing_a_factor_is_reported_sorted(self):
+        # the center meets 6, 4, 2 in adjacency order
+        g = Graph(6, [(1, 2), (1, 3), (1, 4), (5, 6)])
+        assert verify(g, [1, 6, 4, 2, 3, 5]) == VerificationReport(
+            False, (Violation(1, (2, 4, 6), 2),), 1)
+
+    @given(st.integers(1, 12), st.data())
+    def test_random_bijections_match_reference(self, n, data):
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                               if pairs else st.just([])))
+        labels = data.draw(st.permutations(range(1, n + 1)))
+        assert verify(g, labels) == gcd_reference(g, labels)
+
+    @given(st.sampled_from(sorted(SMALL_PARAMS)), st.data())
+    def test_family_labelings_match_reference(self, kind, data):
+        spec = parse_family("%s:%s" % (kind, data.draw(SMALL_PARAMS[kind])))
+        g = generate(spec)
+        labels = label_family(spec, g)
+        report = verify(g, labels)
+        assert report == gcd_reference(g, labels)
+        assert report.ok
+        shuffled = data.draw(st.permutations(labels))
+        assert verify(g, shuffled) == gcd_reference(g, shuffled)
+
+    def test_matches_reference(self):
         def outcome(fn, g, labels):
             try:
                 return fn(g, labels)
@@ -379,7 +452,7 @@ class TestVerify:
             if rng.random() < 0.05:
                 labels = labels[:rng.randrange(n)]
             got = outcome(verify, g, labels)
-            assert got == outcome(reference, g, labels)
+            assert got == outcome(gcd_reference, g, labels)
             seen.append(got.ok if isinstance(got, VerificationReport) else got[0])
         # valid, violated and rejected labelings all occur
         assert min(seen.count(k) for k in (True, False, UsageError, LabelingInvalid)) > 20

@@ -1,7 +1,9 @@
 """Deterministic constructors for every graph family the labelers handle.
 
 Each family has a documented canonical vertex numbering; the constructive
-labelers in :mod:`nplabel.labelers` are formulas over these numberings.
+labelers in :mod:`nplabel.labelers` are formulas over these numberings, and
+so is each graph: its sorted neighbour tuples are cut from one list of the
+ids, so every entry is the one int object of its id.
 """
 
 from __future__ import annotations
@@ -28,21 +30,27 @@ class FamilySpec(NamedTuple):
     args: Tuple
 
 
+def _path(vertex, first: int, last: int):
+    """The sorted neighbour tuples of the path first..last, vertex by vertex."""
+    if first == last:
+        return [()]
+    return [(vertex[first + 1],), *zip(vertex[first:last - 1], vertex[first + 2:last + 1]),
+            (vertex[last - 1],)]
+
+
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise InvalidSpec("path requires n >= 1, got %d" % n)
-    return Graph(n, _path_edges(1, n))
-
-
-def _path_edges(first: int, last: int):
-    """The edges (i, i + 1) of the path first..last, as an iterator."""
-    return zip(range(first, last), range(first + 1, last + 1))
+    return Graph._from_sorted_lists([(), *_path(list(range(n + 1)), 1, n)], n - 1)
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InvalidSpec("cycle requires n >= 3, got %d" % n)
-    return Graph(n, chain(_path_edges(1, n), [(1, n)]))
+    vertex = list(range(n + 1))
+    return Graph._from_sorted_lists(
+        [(), (vertex[2], vertex[n]), *zip(vertex[1:n - 1], vertex[3:n + 1]),
+         (vertex[1], vertex[n - 1])], n)
 
 
 def gear_graph(n: int) -> Graph:
@@ -51,8 +59,13 @@ def gear_graph(n: int) -> Graph:
     if n < 3:
         raise InvalidSpec("gear requires n >= 3, got %d" % n)
     rim = 2 * n + 1
-    return Graph(rim, chain(_path_edges(2, rim), [(2, rim)],
-                            zip(repeat(1), range(3, rim + 1, 2))))
+    vertex = list(range(rim + 1))
+    mid = [()] * (rim - 3)  # rim vertices 3..rim-1, the odd ones on a spoke
+    mid[0::2] = zip(repeat(vertex[1]), vertex[2:rim - 1:2], vertex[4:rim + 1:2])
+    mid[1::2] = zip(vertex[3:rim - 1:2], vertex[5:rim + 1:2])
+    return Graph._from_sorted_lists(
+        [(), tuple(vertex[3::2]), (vertex[3], vertex[rim]), *mid,
+         (vertex[1], vertex[2], vertex[rim - 1])], 3 * n)
 
 
 def snake_vertex_count(k: int, n: int) -> int:
@@ -64,6 +77,17 @@ def snake_base_vertex(k: int, j: int) -> int:
     return (j - 1) * (k - 1) + 1
 
 
+def _snake(k: int, n: int):
+    """The id list and the sorted neighbour tuples of S_{k,n}: the trace
+    path 1..last, where base vertex b also meets b - (k-1) and b + (k-1)."""
+    c, last = k - 1, snake_base_vertex(k, n)
+    vertex = list(range(last + 1))
+    adj = [(), *_path(vertex, 1, last)]
+    adj[1], adj[last] = (vertex[2], vertex[k]), (vertex[last - c], vertex[last - 1])
+    adj[k:last:c] = zip(vertex[1::c], vertex[c:last - 1:c], vertex[k + 1::c], vertex[k + c::c])
+    return vertex, adj
+
+
 def snake_graph(k: int, n: int) -> Graph:
     """k-polygonal snake on the zigzag trace numbering: a path v_1..v_m with
     m = (n-1)(k-1)+1 plus base chords between consecutive base vertices."""
@@ -71,25 +95,21 @@ def snake_graph(k: int, n: int) -> Graph:
         raise InvalidSpec("snake requires k >= 3, got k=%d" % k)
     if n < 2:
         raise InvalidSpec("snake requires n >= 2, got n=%d" % n)
-    return Graph(snake_vertex_count(k, n), _snake_edges(k, n))
-
-
-def _snake_edges(k: int, n: int):
-    """The trace path's edges, then the base chords u_j u_{j+1}."""
-    last = snake_base_vertex(k, n)
-    return chain(_path_edges(1, last),
-                 zip(range(1, last, k - 1), range(k, last + 1, k - 1)))
+    return Graph._from_sorted_lists(_snake(k, n)[1], (n - 1) * k)
 
 
 def star_gon_graph(k: int, n: int) -> Graph:
     """Star (k,n)-gon: the snake S_{k,n+1} with its last vertex m merged into
-    vertex 1, built from the snake's edges (an edge u-m becomes 1-u)."""
+    vertex 1, built from the snake's adjacency (a neighbour m becomes 1)."""
     if k < 3:
         raise InvalidSpec("star-gon requires k >= 3, got k=%d" % k)
     if n < 3:
         raise InvalidSpec("star-gon requires n >= 3, got n=%d" % n)
-    m = snake_vertex_count(k, n + 1)
-    return Graph(m - 1, ((u, v) if v < m else (1, u) for u, v in _snake_edges(k, n + 1)))
+    vertex, adj = _snake(k, n + 1)
+    end, base = len(adj) - 2, len(adj) - k  # m's two neighbours
+    adj[1] = (vertex[2], vertex[k], vertex[base], vertex[end])
+    adj[end], adj[base] = (vertex[1], vertex[end - 1]), (vertex[1], *adj[base][:3])
+    return Graph._from_sorted_lists(adj[:-1], n * k)
 
 
 def book_graph(k: int, n: int) -> Graph:
@@ -99,14 +119,14 @@ def book_graph(k: int, n: int) -> Graph:
         raise InvalidSpec("book requires k in {3,4,5}, got k=%d" % k)
     if n < 1:
         raise InvalidSpec("book requires n >= 1, got n=%d" % n)
-
-    def edges():
-        yield 1, 2
-        for first in range(3, 3 + n * (k - 2), k - 2):
-            page = (1, *range(first, first + k - 2), 2)
-            yield from zip(page, page[1:])
-
-    return Graph(2 + n * (k - 2), edges())
+    step = k - 2
+    vertex = list(range(3 + n * step))
+    adj = [(), (vertex[2], *vertex[3::step]), (vertex[1], *vertex[k::step]), *[()] * (n * step)]
+    for j in range(step):  # position j on every page; the first meets 1, the last meets 2
+        left = vertex[2 + j::step] if j else repeat(vertex[1], n)
+        right = vertex[4 + j::step] if j < step - 1 else repeat(vertex[2], n)
+        adj[3 + j::step] = zip(right, left) if 0 < j == step - 1 else zip(left, right)
+    return Graph._from_sorted_lists(adj, 1 + n * (k - 1))
 
 
 def mobius_graph(n: int) -> Graph:
@@ -114,9 +134,11 @@ def mobius_graph(n: int) -> Graph:
     edges plus the two cross edges v_1 u_n and u_1 v_n."""
     if n < 3:
         raise InvalidSpec("mobius requires n >= 3, got %d" % n)
-    return Graph(2 * n, chain(_path_edges(1, n), _path_edges(n + 1, 2 * n),
-                              zip(range(1, n + 1), range(n + 1, 2 * n + 1)),
-                              [(n, n + 1), (1, 2 * n)]))
+    v = list(range(2 * n + 1))
+    return Graph._from_sorted_lists(
+        [(), (v[2], v[n + 1], v[2 * n]), *zip(v[1:n - 1], v[3:n + 1], v[n + 2:2 * n]),
+         (v[n - 1], v[n + 1], v[2 * n]), (v[1], v[n], v[n + 2]),
+         *zip(v[2:n], v[n + 1:2 * n - 1], v[n + 3:2 * n + 1]), (v[1], v[n], v[2 * n - 1])], 3 * n)
 
 
 def caterpillar_graph(pendant_counts: Sequence[int]) -> Graph:
@@ -127,8 +149,14 @@ def caterpillar_graph(pendant_counts: Sequence[int]) -> Graph:
         raise InvalidSpec("pendant counts must be nonnegative")
     s = len(counts) + 2
     n = s + sum(counts)
-    spine = chain.from_iterable(repeat(v, c) for v, c in enumerate(counts, start=2))
-    return Graph(n, chain(_path_edges(1, s), zip(spine, range(s + 1, n + 1))))
+    vertex = list(range(n + 1))
+    adj = [(), *_path(vertex, 1, s)]
+    first = s + 1
+    for v, c in enumerate(counts, start=2):
+        adj[v] += tuple(vertex[first:first + c])
+        first += c
+    adj += zip(chain.from_iterable(map(repeat, vertex[2:s], counts)))
+    return Graph._from_sorted_lists(adj, n - 1)
 
 
 def spider_graph(leg_lengths: Sequence[int]) -> Graph:
@@ -138,15 +166,14 @@ def spider_graph(leg_lengths: Sequence[int]) -> Graph:
         raise InvalidSpec("spider requires >= 3 legs, got %d" % len(lengths))
     if any(l < 1 for l in lengths):
         raise InvalidSpec("spider legs must have length >= 1")
-
-    def edges():
-        first = 2
-        for l in lengths:
-            yield 1, first
-            yield from _path_edges(first, first + l - 1)
-            first += l
-
-    return Graph(1 + sum(lengths), edges())
+    vertex = list(range(2 + sum(lengths)))
+    adj, feet = [(), ()], []
+    for l in lengths:
+        feet.append(vertex[len(adj)])
+        leg = _path(vertex, len(adj), len(adj) + l - 1)
+        adj += [(vertex[1], *leg[0]), *leg[1:]]
+    adj[1] = tuple(feet)
+    return Graph._from_sorted_lists(adj, sum(lengths))
 
 
 def banana_graph(n: int, k: int) -> Graph:
@@ -156,15 +183,12 @@ def banana_graph(n: int, k: int) -> Graph:
         raise InvalidSpec("banana requires n >= 1, got n=%d" % n)
     if k < 3:
         raise InvalidSpec("banana requires k >= 3, got k=%d" % k)
-
-    def edges():
-        for u in range(2, 2 + n * k, k):
-            w = u + 1
-            yield 1, u
-            yield u, w
-            yield from zip(repeat(w), range(w + 1, u + k))
-
-    return Graph(n * k + 1, edges())
+    vertex = list(range(n * k + 2))
+    adj = [(), tuple(vertex[2::k])]
+    for u in range(2, n * k + 1, k):
+        w = vertex[u + 1]
+        adj += [(vertex[1], w), (vertex[u], *vertex[u + 2:u + k]), *zip(repeat(w, k - 2))]
+    return Graph._from_sorted_lists(adj, n * k)
 
 
 def firecracker_graph(n: int, k: int) -> Graph:
@@ -175,39 +199,37 @@ def firecracker_graph(n: int, k: int) -> Graph:
         raise InvalidSpec("firecracker requires n >= 1, got n=%d" % n)
     if k < 1:
         raise InvalidSpec("firecracker requires k >= 1, got k=%d" % k)
-
-    def edges():
-        yield from _path_edges(1, n)
-        if k >= 2:
-            yield from zip(range(1, n + 1), range(n + 1, 2 * n + 1))
-        if k >= 3:
-            yield from zip(range(n + 1, 2 * n + 1), range(2 * n + 1, 3 * n + 1))
-            centers = chain.from_iterable(repeat(v, k - 3) for v in range(n + 1, 2 * n + 1))
-            yield from zip(centers, range(3 * n + 1, n * k + 1))
-
-    return Graph(n * k, edges())
+    vertex = list(range(n * k + 1))
+    centers = vertex[n + 1:2 * n + 1]
+    adj = [(), *_path(vertex, 1, n)]
+    if k >= 2:
+        adj[1:] = map(tuple.__add__, adj[1:], zip(centers))
+    # v_i meets u_i, w_i and its own k-3 leaves, the first k-1 of these lists
+    adj += zip(*[vertex[1:n + 1], vertex[2 * n + 1:3 * n + 1],
+                 *(vertex[3 * n + 1 + j::k - 3] for j in range(k - 3))][:k - 1])
+    if k >= 3:  # w_i, then the other leaves star by star, each meeting only v_i
+        adj += zip(chain(centers, chain.from_iterable(map(repeat, centers, repeat(k - 3, n)))))
+    return Graph._from_sorted_lists(adj, n * k - 1)
 
 
 def _rooted_tree_from_pattern(child_counts):
     """Build a level-order numbered rooted tree; child_counts[i] children for
     node i+1, children ids assigned consecutively in processing order.  A
-    faulty pattern raises InvalidSpec while Graph reads the edges."""
+    faulty pattern raises InvalidSpec at the first node that shows it."""
     n = len(child_counts)
-
-    def edges():
-        nxt = 2
-        for v, c in enumerate(child_counts, start=1):
-            if v > 1 and v >= nxt:
-                raise InvalidSpec("shape pattern declares unreachable node %d" % v)
-            for _ in range(c):
-                if nxt > n:
-                    raise InvalidSpec("shape pattern creates more nodes than bits")
-                yield v, nxt
-                nxt += 1
-        # every node is reached: a node v >= 2 not yet reached when the loop
-        # meets it is refused as unreachable, so nxt ends at n + 1
-
-    return Graph(n, edges())
+    vertex = list(range(n + 1))
+    adj = [()] * (n + 1)  # adj[v] is (parent,) until v's children join it
+    nxt = 2
+    for v, c in enumerate(child_counts, start=1):
+        if v > 1 and v >= nxt:
+            raise InvalidSpec("shape pattern declares unreachable node %d" % v)
+        if nxt + c > n + 1:
+            raise InvalidSpec("shape pattern creates more nodes than bits")
+        if c:
+            adj[nxt:nxt + c] = zip(repeat(vertex[v], c))
+            adj[v] += tuple(vertex[nxt:nxt + c])
+            nxt += c
+    return Graph._from_sorted_lists(adj, n - 1)  # every node reached, nxt is n + 1
 
 
 def _shape_bits(shape: Sequence[int]):
@@ -238,7 +260,15 @@ def complete_binary_graph(n_nodes: int) -> Graph:
     """Complete binary tree on ids 1..n with children 2v and 2v+1."""
     if n_nodes < 1:
         raise InvalidSpec("complete binary tree requires >= 1 node")
-    return Graph(n_nodes, ((v // 2, v) for v in range(2, n_nodes + 1)))
+    n, half = n_nodes, n_nodes // 2  # half: the last vertex with a child
+    vertex = list(range(n + 1))
+    parent = list(chain.from_iterable(zip(vertex, vertex)))  # parent[v] is v // 2
+    adj = [(), tuple(vertex[2:4]),
+           *zip(parent[2:(n + 1) // 2], vertex[4::2], vertex[5::2])]
+    if n % 2 == 0 and half > 1:  # the one vertex with a single child
+        adj.append((parent[half], vertex[n]))
+    adj += zip(parent[max(2, half + 1):n + 1])
+    return Graph._from_sorted_lists(adj, n - 1)
 
 
 def random_tree(n: int, seed: int) -> Graph:

@@ -38,10 +38,14 @@ class Graph:
         list is appended, any other is placed by bisection, which also
         finds a duplicate.  The build costs O(m log maxdeg) comparisons plus
         the list tails that out-of-order inserts move, which are few for
-        the families and trees built here.  Dense input out of order pays
-        in moves, up to about n^3/2 pointers for K_n, shifted by memmove.
-        The first faulty edge is reported: a self-loop, then a range error,
-        then a duplicate."""
+        the random trees and family edge streams built here.  Dense input
+        out of order pays in moves, up to about n^3/2 pointers for K_n,
+        shifted by memmove.  The first faulty edge is reported: a
+        self-loop, then a range error, then a duplicate.
+
+        This is the checked path, for parsed files, ``with_pendant`` and
+        random trees; the other family generators and the tree scan build
+        through ``_from_sorted_lists``."""
         if n < 1:
             raise UsageError("vertex count must be positive, got %d" % n)
         vertex = list(range(n + 1))
@@ -69,14 +73,16 @@ class Graph:
         self._store(n, m, adj)
 
     @classmethod
-    def _from_sorted_lists(cls, adj: List[list], m: int) -> "Graph":
-        """Unchecked build from ``adj``, one sorted neighbour list per vertex
-        (index 0 empty), holding m edges; the lists become the Graph's.
+    def _from_sorted_lists(cls, adj: List[Sequence[int]], m: int) -> "Graph":
+        """Unchecked build from ``adj``, one sorted neighbour list or tuple
+        per vertex (index 0 empty), holding m edges; they become the Graph's.
 
         Nothing is validated: the caller guarantees a simple graph whose
-        lists are sorted, symmetric and free of loops and duplicates.  Only
-        the tree generator (``treescan._tree_from_levels``) calls it, whose
-        lists are so by construction."""
+        lists are sorted, symmetric and free of loops and duplicates.  The
+        tree generator (``treescan._tree_from_levels``) and every family
+        generator but the random tree's call it; their lists are so by
+        construction, and ``tests/family_edges.py`` checks each family's
+        against the checked build of its edges."""
         g = cls.__new__(cls)
         g._store(len(adj) - 1, m, adj)
         return g

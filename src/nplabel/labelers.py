@@ -324,9 +324,9 @@ def label_bivalent_free(t: Graph) -> List[int]:
     pass that reads each path off from its top vertex, choosing the forced
     child edges first, then optional ones in ``t.adj`` order.
     """
-    if not is_tree(t):
-        raise UnsupportedStructure("input is not a tree")
     n = t.n
+    if t.m != n - 1:
+        raise UnsupportedStructure("input is not a tree")
     if n <= 2:
         return list(range(1, n + 1))
     adj = t.adj
@@ -338,6 +338,10 @@ def label_bivalent_free(t: Graph) -> List[int]:
             if u != parent[v]:
                 parent[u] = v
                 order.append(u)
+        if len(order) > n:  # a cycle: the walk would never end
+            break
+    if len(order) != n:  # past n on a cycle, short of n on a forest: not a tree
+        raise UnsupportedStructure("input is not a tree")
     must = [False] * (n + 1)  # v's subtree forces its parent edge on a path
     may = [True] * (n + 1)  # v's subtree allows its parent edge on a path
     lo = [0] * (n + 1)  # the number of v's child edges that must be chosen

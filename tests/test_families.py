@@ -1,9 +1,11 @@
 import hashlib
 import re
+from itertools import product
 
 import pytest
 
 from contraction import contract_reference
+from family_edges import reference_graph
 from nplabel import families
 from nplabel.errors import InvalidSpec, UsageError
 from nplabel.families import (
@@ -351,7 +353,8 @@ DIGEST_SPECS = {
     "completebinary": ["completebinary:1", "completebinary:2", "completebinary:3000"],
     "randomtree": ["randomtree:1,1", "randomtree:2,1", "randomtree:20,7", "randomtree:500,3"],
 }
-# malformed specs: the shape faults are raised while Graph reads the edges
+# malformed specs: a shape fault is raised at the first node of the pattern
+# that shows it, the node at which the edge stream raised it
 FAULTY_SPECS = [
     "kary:2,1", "kary:2,0110", "fullbinary:10", "fullbinary:1", "fullbinary:1000",
     "kary:3,1", "cayley:3,1", "cayley:3,10000", "kary:1,10", "completebinary:0",
@@ -361,8 +364,9 @@ FAULTY_SPECS = [
 ]
 
 
-# pinned when the generators built edge lists; streaming them must not
-# change a graph, an exception type or a message
+# pinned when the generators built edge lists; streaming them, and then
+# building each adjacency from the numbering, must not change a graph, an
+# exception type or a message
 GRAPHS_DIGEST = "a79ee868af6e43f782b24032efe6e4129ca15f0bc7482e063c11bdc1823d6abe"
 FAULTS_DIGEST = "cf8ed7a0d79943c190cf9d579c3c1140067eed15345dce7be60edbac08ce7013"
 
@@ -404,3 +408,79 @@ INPUT_CHECKS = [
 def test_input_checks(fn, args, error, message):
     with pytest.raises(error, match="^%s$" % re.escape(message)):
         fn(*args)
+
+
+def shapes(kind, longest):
+    """``kind`` with every 0/1 shape of 1..longest bits, faulty ones included."""
+    return [kind + "".join(bits) for n in range(1, longest + 1)
+            for bits in product("01", repeat=n)]
+
+
+# every kind but randomtree, whose edges come off a heap and go through the
+# checked constructor: small sweeps and the edge sizes of each numbering
+ORACLE_SPECS = {
+    "path": ["path:%d" % n for n in range(1, 12)],
+    "cycle": ["cycle:%d" % n for n in range(3, 12)],
+    "gear": ["gear:%d" % n for n in range(3, 12)],
+    "snake": ["snake:%d,%d" % (k, n) for k in (3, 4, 5, 9, 200) for n in range(2, 7)],
+    "stargon": ["stargon:%d,%d" % (k, n) for k in (3, 4, 5, 9, 200) for n in range(3, 8)],
+    "book": ["book:%d,%d" % (k, n) for k in (3, 4, 5) for n in range(1, 8)],
+    "book5": ["book5:%d" % n for n in range(1, 6)],
+    "mobius": ["mobius:%d" % n for n in range(3, 12)],
+    "caterpillar": ["caterpillar", "caterpillar:0", "caterpillar:0,0", "caterpillar:3",
+                    "caterpillar:0,2,1", "caterpillar:2,0,0,3", "caterpillar:1,0,4,0,0"],
+    "spider": ["spider:1,1,1", "spider:1,2,1", "spider:3,1,1,2", "spider:1,1,1,1,1",
+               "spider:2,2,4,4,4,6"],
+    "banana": ["banana:%d,%d" % (n, k) for n in (1, 2, 5) for k in (3, 4, 7)],
+    "firecracker": ["firecracker:%d,%d" % (n, k) for n in (1, 2, 3, 6) for k in range(1, 8)],
+    "fullbinary": shapes("fullbinary:", 9),
+    "kary": shapes("kary:3,", 7) + ["kary:4,1" + "0" * 4, "kary:3," + "1" * 13 + "0" * 27],
+    "cayley": shapes("cayley:3,", 7) + shapes("cayley:4,", 6),
+    "completebinary": ["completebinary:%d" % n for n in range(1, 41)],
+}
+SHAPED = ("fullbinary", "kary", "cayley")
+
+# the fixed family-label members, and firecrackers and a caterpillar sized
+# like its seeded ones
+LARGE_MEMBERS = [
+    "gear:20000", "mobius:20000", "book5:5000", "stargon:5,3000", "snake:2000,5",
+    "banana:200,50", "spider:" + ",".join(["40"] * 500),
+    "kary:3," + "1" * ((3 ** 8 - 1) // 2) + "0" * 3 ** 8, "completebinary:30000",
+    "firecracker:1900,3", "firecracker:1999,4", "firecracker:2000,5",
+    "caterpillar:" + ",".join(str(i * 7 % 6) for i in range(400)),
+]
+
+
+class TestDirectAdjacency:
+    """Each generator builds its sorted neighbour tuples straight from its
+    numbering; the checked build of the kind's edge stream is the oracle."""
+
+    def test_every_kind_but_randomtree(self):
+        assert set(ORACLE_SPECS) == set(families._FAMILIES) - {"randomtree"}
+
+    @pytest.mark.parametrize("kind", sorted(ORACLE_SPECS))
+    def test_matches_checked_build_of_edges(self, kind):
+        faults = 0
+        for text in ORACLE_SPECS[kind]:
+            spec = parse_family(text)
+            try:
+                expect = reference_graph(spec)
+            except InvalidSpec as fault:
+                # a faulty shape: the same first fault, type and message
+                with pytest.raises(InvalidSpec, match="^%s$" % re.escape(str(fault))):
+                    generate(spec)
+                faults += 1
+                continue
+            g = generate(spec)
+            assert (g.n, g.m, g.adj) == (expect.n, expect.m, expect.adj), text
+            assert type(g.adj) is tuple and all(type(nbrs) is tuple for nbrs in g.adj)
+        assert bool(faults) == (kind in SHAPED)
+
+    @pytest.mark.parametrize("text", LARGE_MEMBERS, ids=lambda t: t[:20])
+    def test_one_int_object_per_id(self, text):
+        g = generate(parse_family(text))
+        objects = {}
+        for nbrs in g.adj:
+            for u in nbrs:
+                assert objects.setdefault(u, u) is u
+        assert sorted(objects) == list(range(1, g.n + 1))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from contraction import contract_reference
+from family_edges import gear_edges
 from nplabel.errors import LabelingInvalid, UsageError
 from nplabel.families import (gear_graph, generate, parse_family, snake_graph,
                                snake_vertex_count, star_gon_graph)
@@ -26,6 +27,20 @@ from nplabel.graph import (
     with_pendant,
 )
 from nplabel.labelers import label_family
+
+
+def traced_build(build):
+    """The bytes a 60,000-edge build keeps, and its peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        g = build()
+        kept, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert g.m == 60000
+    return kept, peak
 
 
 # the first faulty edge is reported, and a self-loop outranks a range error
@@ -309,17 +324,15 @@ class TestGraph:
                     assert str(info.value).startswith(kind)
 
     def test_build_peaks_near_what_it_keeps(self):
-        # the duplicate check holds no set, so a build allocates little
-        # beyond the adjacency it keeps
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            g = gear_graph(20000)
-            kept, peak = (size - base for size in tracemalloc.get_traced_memory())
-        finally:
-            tracemalloc.stop()
-        assert g.m == 60000
+        # the duplicate check holds no set, so a checked build of the gear's
+        # edge stream allocates little beyond the adjacency it keeps
+        kept, peak = traced_build(lambda: Graph(*gear_edges(20000)))
+        assert peak <= 1.6 * kept
+
+    def test_direct_build_peaks_near_what_it_keeps(self):
+        # the family build cuts its tuples from one id list, and holds
+        # little beside them
+        kept, peak = traced_build(lambda: gear_graph(20000))
         assert peak <= 1.6 * kept
 
     def test_equality_and_hash(self):

@@ -445,6 +445,19 @@ class TestLabelBivalentFree:
         with pytest.raises(UnsupportedStructure):
             label_bivalent_free(Graph(3, [(1, 2), (2, 3), (1, 3)]))
 
+    @pytest.mark.parametrize("g", [
+        Graph(4, [(1, 2), (2, 3), (1, 3)]),  # a triangle and an isolated vertex
+        Graph(6, [(1, 2), (2, 3), (3, 4), (1, 4), (5, 6)]),  # C4 and a disjoint edge
+        Graph(6, [(1, 2), (2, 3), (4, 5), (5, 6), (4, 6)]),  # P3 and a triangle
+        Graph(6, [(1, 2), (1, 6), (2, 3), (3, 4), (4, 6)]),  # C5 and an isolated vertex
+    ], ids=["triangle+K1", "C4+K2", "P3+triangle", "K1+C5"])
+    def test_n_minus_1_edges_non_tree_rejected(self, g):
+        # n - 1 edges but a cycle: the walk from the root stops past n
+        # vertices, or ends short of them, and never runs on
+        assert g.m == g.n - 1
+        with pytest.raises(UnsupportedStructure, match="^input is not a tree$"):
+            label_bivalent_free(g)
+
     def test_trivial_sizes(self):
         assert label_bivalent_free(Graph(1, [])) == [1]
         assert label_bivalent_free(Graph(2, [(1, 2)])) == [1, 2]
@@ -522,8 +535,9 @@ class TestLabelFullBinary:
             300, "72ec33e8b97aaa2901d1dbe13b30a6a429c664f6f0e6b33a037cecf55e589851")
 
     def test_delegation_checks_connectivity_once(self, monkeypatch):
-        # the parent scan proves a graph with n - 1 edges is a tree, so only
-        # label_bivalent_free's is_tree walks the graph
+        # the parent scan proves a graph with n - 1 edges is a tree, and
+        # label_bivalent_free checks it in the walk that roots it, so no
+        # is_connected walk runs
         calls = []
 
         def counting(g):
@@ -533,7 +547,7 @@ class TestLabelFullBinary:
         monkeypatch.setattr(graph_module, "is_connected", counting)
         g = complete_binary_graph(30)
         assert verify(g, label_full_binary(g)).ok
-        assert calls == [30]
+        assert calls == []
 
     @pytest.mark.parametrize("g, message", [
         (Graph(3, [(1, 2), (2, 3), (1, 3)]), "input is not a tree"),

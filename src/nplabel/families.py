@@ -41,7 +41,7 @@ def _path(vertex, first: int, last: int):
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise InvalidSpec("path requires n >= 1, got %d" % n)
-    return Graph._from_sorted_lists([(), *_path(list(range(n + 1)), 1, n)], n - 1)
+    return Graph._from_sorted_lists([(), *_path(list(range(n + 1)), 1, n)])
 
 
 def cycle_graph(n: int) -> Graph:
@@ -50,7 +50,7 @@ def cycle_graph(n: int) -> Graph:
     vertex = list(range(n + 1))
     return Graph._from_sorted_lists(
         [(), (vertex[2], vertex[n]), *zip(vertex[1:n - 1], vertex[3:n + 1]),
-         (vertex[1], vertex[n - 1])], n)
+         (vertex[1], vertex[n - 1])])
 
 
 def gear_graph(n: int) -> Graph:
@@ -65,7 +65,7 @@ def gear_graph(n: int) -> Graph:
     mid[1::2] = zip(vertex[3:rim - 1:2], vertex[5:rim + 1:2])
     return Graph._from_sorted_lists(
         [(), tuple(vertex[3::2]), (vertex[3], vertex[rim]), *mid,
-         (vertex[1], vertex[2], vertex[rim - 1])], 3 * n)
+         (vertex[1], vertex[2], vertex[rim - 1])])
 
 
 def snake_vertex_count(k: int, n: int) -> int:
@@ -95,7 +95,7 @@ def snake_graph(k: int, n: int) -> Graph:
         raise InvalidSpec("snake requires k >= 3, got k=%d" % k)
     if n < 2:
         raise InvalidSpec("snake requires n >= 2, got n=%d" % n)
-    return Graph._from_sorted_lists(_snake(k, n)[1], (n - 1) * k)
+    return Graph._from_sorted_lists(_snake(k, n)[1])
 
 
 def star_gon_graph(k: int, n: int) -> Graph:
@@ -109,7 +109,7 @@ def star_gon_graph(k: int, n: int) -> Graph:
     end, base = len(adj) - 2, len(adj) - k  # m's two neighbours
     adj[1] = (vertex[2], vertex[k], vertex[base], vertex[end])
     adj[end], adj[base] = (vertex[1], vertex[end - 1]), (vertex[1], *adj[base][:3])
-    return Graph._from_sorted_lists(adj[:-1], n * k)
+    return Graph._from_sorted_lists(adj[:-1])
 
 
 def book_graph(k: int, n: int) -> Graph:
@@ -126,7 +126,7 @@ def book_graph(k: int, n: int) -> Graph:
         left = vertex[2 + j::step] if j else repeat(vertex[1], n)
         right = vertex[4 + j::step] if j < step - 1 else repeat(vertex[2], n)
         adj[3 + j::step] = zip(right, left) if 0 < j == step - 1 else zip(left, right)
-    return Graph._from_sorted_lists(adj, 1 + n * (k - 1))
+    return Graph._from_sorted_lists(adj)
 
 
 def mobius_graph(n: int) -> Graph:
@@ -138,7 +138,7 @@ def mobius_graph(n: int) -> Graph:
     return Graph._from_sorted_lists(
         [(), (v[2], v[n + 1], v[2 * n]), *zip(v[1:n - 1], v[3:n + 1], v[n + 2:2 * n]),
          (v[n - 1], v[n + 1], v[2 * n]), (v[1], v[n], v[n + 2]),
-         *zip(v[2:n], v[n + 1:2 * n - 1], v[n + 3:2 * n + 1]), (v[1], v[n], v[2 * n - 1])], 3 * n)
+         *zip(v[2:n], v[n + 1:2 * n - 1], v[n + 3:2 * n + 1]), (v[1], v[n], v[2 * n - 1])])
 
 
 def caterpillar_graph(pendant_counts: Sequence[int]) -> Graph:
@@ -156,7 +156,7 @@ def caterpillar_graph(pendant_counts: Sequence[int]) -> Graph:
         adj[v] += tuple(vertex[first:first + c])
         first += c
     adj += zip(chain.from_iterable(map(repeat, vertex[2:s], counts)))
-    return Graph._from_sorted_lists(adj, n - 1)
+    return Graph._from_sorted_lists(adj)
 
 
 def spider_graph(leg_lengths: Sequence[int]) -> Graph:
@@ -173,7 +173,7 @@ def spider_graph(leg_lengths: Sequence[int]) -> Graph:
         leg = _path(vertex, len(adj), len(adj) + l - 1)
         adj += [(vertex[1], *leg[0]), *leg[1:]]
     adj[1] = tuple(feet)
-    return Graph._from_sorted_lists(adj, sum(lengths))
+    return Graph._from_sorted_lists(adj)
 
 
 def banana_graph(n: int, k: int) -> Graph:
@@ -188,7 +188,7 @@ def banana_graph(n: int, k: int) -> Graph:
     for u in range(2, n * k + 1, k):
         w = vertex[u + 1]
         adj += [(vertex[1], w), (vertex[u], *vertex[u + 2:u + k]), *zip(repeat(w, k - 2))]
-    return Graph._from_sorted_lists(adj, n * k)
+    return Graph._from_sorted_lists(adj)
 
 
 def firecracker_graph(n: int, k: int) -> Graph:
@@ -209,7 +209,7 @@ def firecracker_graph(n: int, k: int) -> Graph:
                  *(vertex[3 * n + 1 + j::k - 3] for j in range(k - 3))][:k - 1])
     if k >= 3:  # w_i, then the other leaves star by star, each meeting only v_i
         adj += zip(chain(centers, chain.from_iterable(map(repeat, centers, repeat(k - 3, n)))))
-    return Graph._from_sorted_lists(adj, n * k - 1)
+    return Graph._from_sorted_lists(adj)
 
 
 def _rooted_tree_from_pattern(child_counts):
@@ -229,7 +229,7 @@ def _rooted_tree_from_pattern(child_counts):
             adj[nxt:nxt + c] = zip(repeat(vertex[v], c))
             adj[v] += tuple(vertex[nxt:nxt + c])
             nxt += c
-    return Graph._from_sorted_lists(adj, n - 1)  # every node reached, nxt is n + 1
+    return Graph._from_sorted_lists(adj)  # every node reached, nxt is n + 1
 
 
 def _shape_bits(shape: Sequence[int]):
@@ -268,7 +268,7 @@ def complete_binary_graph(n_nodes: int) -> Graph:
     if n % 2 == 0 and half > 1:  # the one vertex with a single child
         adj.append((parent[half], vertex[n]))
     adj += zip(parent[max(2, half + 1):n + 1])
-    return Graph._from_sorted_lists(adj, n - 1)
+    return Graph._from_sorted_lists(adj)
 
 
 def random_tree(n: int, seed: int) -> Graph:
@@ -277,8 +277,6 @@ def random_tree(n: int, seed: int) -> Graph:
         raise UsageError("random_tree requires n >= 1, got %d" % n)
     if n == 1:
         return Graph(1, [])
-    if n == 2:
-        return Graph(2, [(1, 2)])
     rng = random.Random(seed)
     seq = [0] * (n - 2)  # allocated first, so a size too large fails at once
     for i in range(n - 2):

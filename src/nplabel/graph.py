@@ -10,7 +10,6 @@ from __future__ import annotations
 from math import gcd
 from bisect import bisect_left, insort
 from collections import deque
-from operator import ne
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import LabelingInvalid, UsageError
@@ -21,12 +20,11 @@ Labeling = Sequence[int]
 class Graph:
     """Immutable simple undirected graph on vertices 1..n.
 
-    A Graph stores only ``n``, the edge count ``m`` and ``adj``, where
-    ``adj[v]`` is the sorted neighbor tuple of vertex v (index 0 unused).
-    ``edges`` is derived from ``adj`` in ascending order.
-    """
+    A Graph stores only ``n`` and ``adj``, where ``adj[v]`` is the sorted
+    neighbor tuple of vertex v (index 0 unused).  The edge count ``m`` and
+    ``edges``, in ascending order, are derived from ``adj``."""
 
-    __slots__ = ("n", "m", "adj")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         """Validate each edge and insert it into both adjacency lists, which
@@ -41,7 +39,8 @@ class Graph:
         the random trees and family edge streams built here.  Dense input
         out of order pays in moves, up to about n^3/2 pointers for K_n,
         shifted by memmove.  The first faulty edge is reported: a
-        self-loop, then a range error, then a duplicate.
+        self-loop, then a range error, then a duplicate.  Each list is freed
+        as its tuple replaces it: converting all at once would double the peak.
 
         This is the checked path, for parsed files, ``with_pendant`` and
         random trees; the other family generators and the tree scan build
@@ -50,7 +49,6 @@ class Graph:
             raise UsageError("vertex count must be positive, got %d" % n)
         vertex = list(range(n + 1))
         adj = [[] for _ in vertex]
-        m = 0
         for u, v in edges:
             a, b = (u, v) if u < v else (v, u)
             if not 1 <= a < b <= n:
@@ -69,31 +67,30 @@ class Graph:
                 insort(nb, vertex[a])
             else:
                 nb.append(vertex[a])
-            m += 1
-        self._store(n, m, adj)
-
-    @classmethod
-    def _from_sorted_lists(cls, adj: List[Sequence[int]], m: int) -> "Graph":
-        """Unchecked build from ``adj``, one sorted neighbour list or tuple
-        per vertex (index 0 empty), holding m edges; they become the Graph's.
-
-        Nothing is validated: the caller guarantees a simple graph whose
-        lists are sorted, symmetric and free of loops and duplicates.  The
-        tree generator (``treescan._tree_from_levels``) and every family
-        generator but the random tree's call it; their lists are so by
-        construction, and ``tests/family_edges.py`` checks each family's
-        against the checked build of its edges."""
-        g = cls.__new__(cls)
-        g._store(len(adj) - 1, m, adj)
-        return g
-
-    def _store(self, n: int, m: int, adj: List[list]) -> None:
-        """Keep n, m and ``adj``, turning each list into a tuple in place."""
         for v, nbrs in enumerate(adj):
             adj[v] = tuple(nbrs)
         self.n = n
-        self.m = m
         self.adj = tuple(adj)
+
+    @classmethod
+    def _from_sorted_lists(cls, adj: List[Tuple[int, ...]]) -> "Graph":
+        """Unchecked build from ``adj``, one sorted neighbour tuple per vertex
+        (index 0 empty), kept as they are; n is len(adj) - 1.
+
+        Nothing is validated: the caller guarantees a simple graph whose
+        tuples are sorted, symmetric and free of loops and duplicates.  The
+        tree generator (``treescan._tree_from_levels``) and every family
+        generator but the random tree's call it; their tuples are so by
+        construction, and ``tests/family_edges.py`` checks each family's
+        against the checked build of its edges."""
+        g = cls.__new__(cls)
+        g.n = len(adj) - 1
+        g.adj = tuple(adj)
+        return g
+
+    @property
+    def m(self) -> int:
+        return sum(map(len, self.adj)) >> 1  # each edge sits in two tuples
 
     @property
     def edges(self) -> Tuple[Tuple[int, int], ...]:
@@ -132,10 +129,15 @@ def check_vertex(g: Graph, v: int) -> None:
 
 def check_bijection(g: Graph, labels: Labeling) -> None:
     if len(labels) != g.n:
-        raise UsageError(
-            "labeling length %d does not match vertex count %d" % (len(labels), g.n)
-        )
-    if any(map(ne, sorted(labels), range(1, g.n + 1))):
+        raise UsageError("labeling length %d does not match vertex count %d"
+                         % (len(labels), g.n))
+    seen = bytearray(g.n + 1)  # n labels mark all of 1..n iff they are a bijection
+    try:  # a label below 1 marks none; a non-int or one above n stops the marking
+        for x in labels if min(labels) > 0 else ():
+            seen[x] = 1
+    except (TypeError, IndexError):
+        pass
+    if seen.count(1) != g.n:
         raise LabelingInvalid("labels are not a bijection onto 1..%d" % g.n)
 
 

@@ -102,8 +102,8 @@ def _tree_from_levels(levels: Sequence[int]) -> Graph:
     The adjacency lists are built in the walk itself: the parent of v is
     the latest vertex one level up, which precedes v, and the children of a
     vertex follow it in increasing order, so each list is its parent, then
-    its children, sorted with no duplicate and no loop, and there are n - 1
-    edges.  The Graph therefore takes the lists unchecked."""
+    its children, sorted with no duplicate and no loop.  The Graph therefore
+    takes them unchecked, each made a tuple."""
     last = [0] * (len(levels) + 1)  # latest vertex seen at each level
     last[1] = 1
     adj = [[], []]  # vertex 0 unused; the root's list grows below
@@ -112,7 +112,7 @@ def _tree_from_levels(levels: Sequence[int]) -> Graph:
         adj[parent].append(v)
         adj.append([parent])
         last[level] = v
-    return Graph._from_sorted_lists(adj, len(levels) - 1)
+    return Graph._from_sorted_lists(list(map(tuple, adj)))
 
 
 def enumerate_free_trees(n: int) -> Iterator[Graph]:

@@ -145,13 +145,14 @@ class TestLabel:
         # the star-gon from generate, then the snake S_{5,31} that the
         # contraction lemma starts from; the contracted graph is not built
         built = []
-        store = Graph._store
+        direct = Graph._from_sorted_lists
 
-        def counting(self, n, m, adj):
-            built.append(n)
-            store(self, n, m, adj)
+        def counting(adj):
+            g = direct(adj)
+            built.append(g.n)
+            return g
 
-        monkeypatch.setattr(Graph, "_store", counting)
+        monkeypatch.setattr(Graph, "_from_sorted_lists", counting)
         code, out, _ = run(capsys, "label", "--family", "stargon:5,30")
         assert code == EXIT_OK
         assert out.endswith("VERIFIED\n")

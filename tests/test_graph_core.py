@@ -27,6 +27,7 @@ from nplabel.graph import (
     with_pendant,
 )
 from nplabel.labelers import label_family
+from nplabel.treescan import _tree_from_levels
 
 
 def traced_build(build):
@@ -232,17 +233,29 @@ class TestGraph:
         g = Graph(n, [(v, u) if flip else (u, v)
                       for (u, v), flip in zip(chosen, flips)])
         assert g.edges == tuple(sorted(chosen))
+        assert g.m == len(chosen)
         for v in range(n + 1):
             nbrs = {b for a, b in chosen if a == v} | {a for a, b in chosen if b == v}
             assert g.adj[v] == tuple(sorted(nbrs))
 
-    def test_stores_only_n_m_and_adj(self):
+    def test_stores_only_n_and_adj(self):
         g = Graph(4, [(3, 4), (2, 1), (1, 3)])
         assert not hasattr(g, "__dict__")
         assert {name: getattr(g, name) for name in Graph.__slots__} == {
-            "n": 4, "m": 3, "adj": ((), (2, 3), (1,), (1, 4), (3,))}
+            "n": 4, "adj": ((), (2, 3), (1,), (1, 4), (3,))}
+        assert g.m == 3
         assert g.edges == ((1, 2), (1, 3), (3, 4))
         assert repr(g) == "Graph(n=4, m=3)"
+
+    @pytest.mark.parametrize("build, m", [
+        (lambda: Graph(5, [(4, 2), (1, 2)]), 2),  # isolated vertices 3 and 5
+        (lambda: Graph(1, []), 0),
+        (lambda: gear_graph(5), 15),
+        (lambda: _tree_from_levels([1, 2, 3, 3, 2, 3]), 5),
+    ], ids=["checked-isolated", "n1", "direct-family", "tree-from-levels"])
+    def test_m_counts_edges(self, build, m):
+        g = build()
+        assert g.m == len(g.edges) == m
 
     def test_equality_and_hash_follow_adjacency(self):
         g = Graph(4, [(1, 2), (2, 3)])
@@ -395,6 +408,10 @@ class TestVerify:
     def test_non_bijection_rejected(self):
         with pytest.raises(LabelingInvalid):
             verify(P(3), [1, 1, 2])
+        with pytest.raises(LabelingInvalid):
+            verify(P(3), [1, 1.5, 3])
+        with pytest.raises(LabelingInvalid):  # -1 would index the slot of 3
+            verify(P(3), [-1, 1, 2])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(UsageError):
